@@ -105,18 +105,4 @@ object Harness {
     Row(table, id, chosen.render, orig.totalCells, rw.totalCells,
         orig.wallMillis, rw.wallMillis, r.findMillis)
   }
-
-  /** Markdown-ish dump appended by jobs for EXPERIMENTS.md bookkeeping. */
-  def toMarkdown(title: String, rows: Seq[Row]): String = {
-    val sb = new StringBuilder
-    sb.append(s"### $title\n\n")
-    sb.append("| pipeline | orig cells | rw cells | cell speedup | orig ms | rw ms | wall speedup | RW_find ms | rewrite |\n")
-    sb.append("|---|---|---|---|---|---|---|---|---|\n")
-    rows.foreach { r =>
-      sb.append(f"| ${r.pipeline} | ${r.origCells} | ${r.rwCells} | ${r.cellSpeedup}%.1f× " +
-                f"| ${r.origMs}%.0f | ${r.rwMs}%.0f | ${r.wallSpeedup}%.1f× | ${r.rwFindMs}%.0f | `${r.rewrite}` |\n")
-    }
-    sb.toString
-  }
-
 }

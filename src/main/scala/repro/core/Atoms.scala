@@ -5,7 +5,7 @@ package repro.core
   * Every relation's last-listed "result" argument denotes the equivalence
   * class of the operation's output; all other arguments are input classes or
   * constants. `name`/`sname`/`slit` bind classes to named inputs, `size` and
-  * `type` carry metadata used by constraint premises, and `QR`/`LU`/`LUP`/
+  * `type` carry metadata used by constraint premises, and `QR`/`LU`/
   * `norm`/`Zero`/`Identity` are reasoning-only relations (they appear in
   * constraints but are never decoded into plan nodes).
   */
@@ -40,8 +40,6 @@ object VREM {
     "cho"      -> 2, // Cholesky factor L of M = L Lᵀ
     "QR"       -> 3, // QR(M, Q, R) — reasoning-only
     "LU"       -> 3, // LU(M, L, U) — reasoning-only
-    "LUP"      -> 4, // LUP(M, L, U, P) — reasoning-only
-    "sum_D"    -> 3, // direct sum — reasoning-only
     "norm"     -> 4, // norm(M, S, K, R): M = cbind(S, K·R) (Morpheus PK-FK join)
     "Zero"     -> 1,
     "Identity" -> 1,

@@ -2,6 +2,46 @@ package repro.core
 
 import scala.collection.mutable
 
+/** The facts of one relation, in insertion order, with a positional index:
+  * `index(p)` maps a class id to the facts holding it at argument `p`.
+  * Index keys are the ids current at insert time; `compact` rebuilds them
+  * after merges.
+  */
+private[core] final class Rel {
+  val facts = mutable.ArrayBuffer[Vector[Int]]()
+  private val set = mutable.HashSet[Vector[Int]]()
+  private var index = Array.empty[mutable.LongMap[mutable.ArrayBuffer[Vector[Int]]]]
+
+  /** Append a canonical fact; false if it is already present. */
+  def add(f: Vector[Int]): Boolean =
+    set.add(f) && { facts += f; indexFact(f); true }
+
+  private def indexFact(f: Vector[Int]): Unit = {
+    if (index.length < f.length)
+      index ++= Array.fill(f.length - index.length)(mutable.LongMap.empty[mutable.ArrayBuffer[Vector[Int]]])
+    var p = 0
+    while (p < f.length) {
+      index(p).getOrElseUpdate(f(p), mutable.ArrayBuffer()) += f
+      p += 1
+    }
+  }
+
+  /** Facts with class `cls` at argument `pos`, or null if there are none. */
+  def bucket(pos: Int, cls: Int): mutable.ArrayBuffer[Vector[Int]] =
+    if (pos < index.length) index(pos).getOrNull(cls) else null
+
+  /** Re-canonicalize with `find`, drop duplicates, rebuild the index.
+    * Returns the number of facts kept.
+    */
+  def compact(find: Int => Int): Int = {
+    val kept = facts.map(_.map(find)).distinct
+    set.clear(); index.foreach(_.clear())
+    facts.clear(); facts ++= kept
+    kept.foreach { f => set += f; indexFact(f) }
+    kept.length
+  }
+}
+
 /** Canonical database over VREM class IDs, with EGD merging via union-find.
   *
   * IDs identify *equivalence classes of expressions* (paper §6.2.1): two
@@ -17,26 +57,18 @@ final class Instance(val est: Estimator) {
   private val idToConst = mutable.HashMap[Int, String]()
   private val metas  = mutable.HashMap[Int, Meta]()
 
-  private val factsByRel = mutable.HashMap[String, mutable.ArrayBuffer[Vector[Int]]]()
-  private val factSet    = mutable.HashSet[(String, Vector[Int])]()
-  // Positional index (rel, argPos, classId) → facts, for fast premise joins.
-  // Keys use the ids current at insert time; compact() rebuilds after merges.
-  private val idx = mutable.HashMap[(String, Int, Int), mutable.ArrayBuffer[Vector[Int]]]()
+  private val rels   = mutable.HashMap[String, Rel]()
+  private var nFacts = 0
 
-  private def indexFact(rel: String, canon: Vector[Int]): Unit = {
-    var p = 0
-    while (p < canon.length) {
-      idx.getOrElseUpdate((rel, p, canon(p)), mutable.ArrayBuffer()) += canon
-      p += 1
-    }
-  }
+  /** Storage of `rel`, created empty on first use. */
+  private[core] def relation(rel: String): Rel = rels.getOrElseUpdate(rel, new Rel)
 
   /** Facts of `rel` whose argument at `pos` is (currently) `value`.
     * May under-report between a merge and the next compact(); the chase's
     * saturation loop re-runs with a fresh index until nothing changes.
     */
   def lookup(rel: String, pos: Int, value: Int): collection.IndexedSeq[Vector[Int]] =
-    idx.getOrElse((rel, pos, find(value)), Vector.empty)
+    rels.get(rel).flatMap(r => Option(r.bucket(pos, find(value)))).getOrElse(Vector.empty)
 
   def fresh(): Int = { parent += parent.length; parent.length - 1 }
 
@@ -85,35 +117,18 @@ final class Instance(val est: Estimator) {
 
   def meta(id: Int): Option[Meta] = metas.get(find(id))
 
-  def addFact(rel: String, args: Vector[Int]): Boolean = {
-    val canon = args.map(find)
-    if (factSet.add((rel, canon))) {
-      factsByRel.getOrElseUpdate(rel, mutable.ArrayBuffer()) += canon
-      indexFact(rel, canon)
-      true
-    } else false
-  }
+  def addFact(rel: String, args: Vector[Int]): Boolean = add(relation(rel), args)
+
+  private[core] def add(r: Rel, args: Vector[Int]): Boolean =
+    r.add(args.map(find)) && { nFacts += 1; true }
 
   def facts(rel: String): collection.IndexedSeq[Vector[Int]] =
-    factsByRel.getOrElse(rel, Vector.empty)
+    rels.get(rel).map(_.facts).getOrElse(Vector.empty)
 
-  def factCountOf(rel: String): Int = factsByRel.get(rel).map(_.length).getOrElse(0)
-
-  def factCount: Int = factSet.size
-
-  def allFacts: Iterator[(String, Vector[Int])] =
-    factsByRel.iterator.flatMap { case (rel, fs) => fs.iterator.map(rel -> _) }
+  def factCount: Int = nFacts
 
   /** Re-canonicalize all facts after unions, drop duplicates, rebuild index. */
-  def compact(): Unit = {
-    factSet.clear()
-    idx.clear()
-    for ((rel, fs) <- factsByRel) {
-      val fresh = fs.map(_.map(find)).distinct.filter(f => factSet.add((rel, f)))
-      fs.clear(); fs ++= fresh
-      fresh.foreach(indexFact(rel, _))
-    }
-  }
+  def compact(): Unit = nFacts = rels.valuesIterator.map(_.compact(find)).sum
 
   /** Merge results of functional relations: constructors keyed by their
     * input positions, `name`/`sname`/`slit` keyed by the stored name (the
@@ -158,139 +173,237 @@ object Chase {
   final case class Stats(rounds: Int, facts: Int, merges: Int, prunedSteps: Int,
                          hitFactBudget: Boolean, hitDeadline: Boolean)
 
-  /** All homomorphisms from `atoms` into the instance, extending `bound`.
-    * Atoms are joined in a greedy most-bound-first order (cheap selectivity
-    * heuristic) — premises are tiny, fact lists are not.
+  /** One pattern atom over a slot space: argument `a >= 0` is the variable
+    * in slot `a`, `a < 0` is constant number `-a - 1`. `ctor` is the
+    * atom's constructor, or null for non-constructor relations.
     */
-  def matches(inst: Instance, atoms: Vector[PatAtom], bound: Map[String, Int],
-              snapshot: Boolean = true): Iterator[Map[String, Int]] = {
-    def argMatch(pat: String, id: Int, b: Map[String, Int]): Option[Map[String, Int]] = {
-      val v = inst.find(id)
-      if (pat.startsWith("\"")) {
-        val c = inst.const(pat.substring(1, pat.length - 1))
-        if (inst.find(c) == v) Some(b) else None
-      } else b.get(pat) match {
-        case Some(x) => if (inst.find(x) == v) Some(b) else None
-        case None    => Some(b + (pat -> v))
-      }
+  private[core] final class CAtom(val rel: String, val args: Array[Int], val ctor: VREM.Ctor)
+
+  /** A constraint's premise and conclusion compiled to one slot space.
+    * `vars(i)` names slot `i`; `named` holds the slots of the variables
+    * passed to [[compile]], in that order.
+    */
+  private[core] final class Compiled(val premise: Array[CAtom], val conclusion: Array[CAtom],
+                                     val vars: Array[String], val consts: Array[String],
+                                     val named: Array[Int])
+
+  private[core] def compile(premise: Vector[PatAtom], conclusion: Vector[PatAtom],
+                            named: Seq[String]): Compiled = {
+    val vars   = mutable.LinkedHashMap[String, Int]()
+    val consts = mutable.ArrayBuffer[String]()
+    def arg(a: String): Int =
+      if (a.startsWith("\"")) {
+        val c = a.substring(1, a.length - 1)
+        if (!consts.contains(c)) consts += c
+        -1 - consts.indexOf(c)
+      } else vars.getOrElseUpdate(a, vars.size)
+    def atoms(as: Vector[PatAtom]): Array[CAtom] =
+      as.map(a => new CAtom(a.rel, a.args.map(arg).toArray, VREM.ctors.getOrElse(a.rel, null))).toArray
+    val p = atoms(premise); val c = atoms(conclusion)
+    new Compiled(p, c, vars.keys.toArray, consts.toArray, named.map(arg).toArray)
+  }
+
+  /** A compiled slot space bound to one instance: the current bindings
+    * (`-1` = unbound) and the class ids of the constants, interned on first
+    * use so that constants enter the instance in the order the search
+    * reaches them.
+    */
+  private final class Bindings(val inst: Instance, c: Compiled) {
+    val slot = Array.fill(c.vars.length)(-1)
+    private val constIds = Array.fill(c.consts.length)(-1)
+
+    def const(code: Int): Int = {
+      val k = -1 - code
+      if (constIds(k) < 0) constIds(k) = inst.const(c.consts(k))
+      constIds(k)
     }
-    def boundArity(a: PatAtom, b: Map[String, Int]): Int =
-      a.args.count(x => x.startsWith("\"") || b.contains(x))
-    // Snapshot fact lists once: the caller may add facts while consuming the
-    // iterator (proper chase staging, and no concurrent-modification risk).
-    // Read-only callers (satisfiability checks) skip the copies.
-    val snap: Map[String, collection.IndexedSeq[Vector[Int]]] =
-      atoms.map(_.rel).distinct.map { r =>
-        val fs = inst.facts(r)
-        r -> (if (snapshot) fs.toIndexedSeq else fs)
-      }.toMap
-    // Candidate facts for one atom: smallest index bucket over bound args,
-    // falling back to the relation's full (possibly snapshotted) list.
-    def candidates(a: PatAtom, b: Map[String, Int]): collection.IndexedSeq[Vector[Int]] = {
-      var best: collection.IndexedSeq[Vector[Int]] = null
-      var k = 0
-      while (k < a.args.length) {
-        val arg = a.args(k)
-        val v =
-          if (arg.startsWith("\"")) Some(inst.const(arg.substring(1, arg.length - 1)))
-          else b.get(arg)
-        v.foreach { id =>
-          val bucket = inst.lookup(a.rel, k, id)
-          if (best == null || bucket.length < best.length) best = bucket
+
+    /** Class id of an argument, or -1 for an unbound variable. */
+    def value(arg: Int): Int = if (arg < 0) const(arg) else slot(arg)
+  }
+
+  /** Depth-first homomorphism search for one atom list into the instance,
+    * extending the bindings in `b`; each level undoes its own bindings.
+    *
+    * The choices follow a fixed rule, evaluated when the search descends:
+    * the next atom is the first (in the list's order) maximizing
+    * `boundArity * 1000 - factCount(rel)`, and its candidates are the
+    * smallest index bucket over its bound arguments (only a strictly smaller
+    * bucket replaces the current one), or else the whole relation.
+    *
+    * Candidates are read up to a length fixed at descent (a bucket) or at
+    * the start of the search (a whole relation); facts the caller adds after
+    * that point are not visited. Recording a length is as exact as copying
+    * the list: the only writes to fact lists are appends, as long as no
+    * `union`/`compact` runs during the search, and the chase never runs them
+    * while it enumerates one constraint's matches.
+    */
+  private final class Search(b: Bindings, atoms: Array[CAtom]) {
+    private val inst  = b.inst
+    val rels          = atoms.map(a => inst.relation(a.rel))
+    private val start = new Array[Int](atoms.length)
+    private val used  = new Array[Boolean](atoms.length)
+    private val undo  = Array.fill(atoms.length)(new Array[Int](atoms.map(_.args.length).maxOption.getOrElse(0)))
+    private var emit: () => Boolean = _
+
+    /** Calls `f` on each match until it returns false; false iff stopped. */
+    def run(f: () => Boolean): Boolean = {
+      var i = 0
+      while (i < atoms.length) { start(i) = rels(i).facts.length; i += 1 }
+      emit = f
+      descend(0)
+    }
+
+    private def boundArity(a: CAtom): Int = {
+      var n = 0; var k = 0
+      while (k < a.args.length) { val x = a.args(k); if (x < 0 || b.slot(x) >= 0) n += 1; k += 1 }
+      n
+    }
+
+    private def descend(depth: Int): Boolean = {
+      if (depth == atoms.length) return emit()
+      var ai = -1; var best = 0; var i = 0
+      while (i < atoms.length) {
+        if (!used(i)) {
+          val score = boundArity(atoms(i)) * 1000 - rels(i).facts.length
+          if (ai < 0 || score > best) { ai = i; best = score }
+        }
+        i += 1
+      }
+      val a = atoms(ai); val args = a.args
+      var cands: mutable.ArrayBuffer[Vector[Int]] = null
+      var n = -1; var k = 0
+      while (k < args.length) {
+        val v = b.value(args(k))
+        if (v >= 0) {
+          val bucket = rels(ai).bucket(k, inst.find(v))
+          val len    = if (bucket == null) 0 else bucket.length
+          if (n < 0 || len < n) { cands = bucket; n = len }
         }
         k += 1
       }
-      if (best == null) snap(a.rel)
-      else if (snapshot) best.toIndexedSeq
-      else best
-    }
-    def rec(remaining: List[PatAtom], b: Map[String, Int]): Iterator[Map[String, Int]] =
-      remaining match {
-        case Nil => Iterator.single(b)
-        case _ =>
-          val a    = remaining.maxBy(x => boundArity(x, b) * 1000 - inst.factCountOf(x.rel))
-          val rest = {
-            val i = remaining.indexOf(a)
-            remaining.take(i) ++ remaining.drop(i + 1)
-          }
-          candidates(a, b).iterator.flatMap { f =>
-            var cur: Option[Map[String, Int]] = Some(b)
-            var k = 0
-            while (k < a.args.length && cur.isDefined) {
-              cur = argMatch(a.args(k), f(k), cur.get); k += 1
-            }
-            cur match {
-              case Some(nb) => rec(rest, nb)
-              case None     => Iterator.empty
-            }
-          }
+      if (n < 0) { cands = rels(ai).facts; n = start(ai) }
+
+      used(ai) = true
+      val bound = undo(depth)
+      var go = true; var j = 0
+      while (go && j < n) {
+        val f = cands(j)
+        var nb = 0; var ok = true; k = 0
+        while (ok && k < args.length) {
+          val x = args(k); val v = inst.find(f(k))
+          if (x < 0) ok = inst.find(b.const(x)) == v
+          else if (b.slot(x) < 0) { b.slot(x) = v; bound(nb) = x; nb += 1 }
+          else ok = inst.find(b.slot(x)) == v
+          k += 1
+        }
+        if (ok) go = descend(depth + 1)
+        while (nb > 0) { nb -= 1; b.slot(bound(nb)) = -1 }
+        j += 1
       }
-    rec(atoms.toList, bound)
+      used(ai) = false
+      go
+    }
   }
 
-  /** True iff the conclusion is satisfiable by extending `h` (restricted
-    * chase applicability check; existentials may bind to anything).
+  /** All homomorphisms from `atoms` into the instance, extending `bound`. */
+  def matches(inst: Instance, atoms: Vector[PatAtom],
+              bound: Map[String, Int]): Iterator[Map[String, Int]] = {
+    val c = compile(atoms, Vector.empty, Nil)
+    val b = new Bindings(inst, c)
+    for ((v, i) <- c.vars.zipWithIndex; x <- bound.get(v)) b.slot(i) = x
+    val out = Vector.newBuilder[Map[String, Int]]
+    new Search(b, c.premise).run { () =>
+      out += bound ++ c.vars.indices.collect { case i if !bound.contains(c.vars(i)) => c.vars(i) -> b.slot(i) }
+      true
+    }
+    out.result().iterator
+  }
+
+  /** A TGD bound to one instance: premise and conclusion searches share the
+    * bindings, so the conclusion check sees the premise match.
     */
-  private def conclusionSatisfied(inst: Instance, concl: Vector[PatAtom],
-                                  h: Map[String, Int]): Boolean =
-    matches(inst, concl, h, snapshot = false).hasNext
+  private final class TgdRun(inst: Instance, val t: TGD) {
+    private val c  = t.compiled
+    val b          = new Bindings(inst, c)
+    val premise    = new Search(b, c.premise)
+    private val concl = new Search(b, c.conclusion)
 
-  /** Apply one TGD for one premise match. Returns #facts added; -1 if the
-    * step was cost-pruned.
-    */
-  private def applyTgd(inst: Instance, t: TGD, h: Map[String, Int],
-                       threshold: Double): Int = {
-    // Bind existentials to fresh classes.
-    var b = h
-    for (v <- t.existentials) b += (v -> inst.fresh())
+    /** Restricted-chase applicability: is the conclusion already satisfied
+      * by some extension of the current premise match?
+      */
+    def satisfied: Boolean = !concl.run(() => false)
 
-    def idOf(arg: String): Int =
-      if (arg.startsWith("\"")) inst.const(arg.substring(1, arg.length - 1)) else b(arg)
+    /** Apply the TGD for the current premise match. Returns #facts added;
+      * -1 if the step was cost-pruned.
+      */
+    def apply(threshold: Double): Int = {
+      // Bind existentials to fresh classes.
+      c.named.foreach(x => b.slot(x) = inst.fresh())
+      val added = applyBound(threshold)
+      c.named.foreach(x => b.slot(x) = -1)
+      added
+    }
 
-    // Derive metadata for existential results, atoms in dependency order.
-    var progressed = true
-    while (progressed) {
-      progressed = false
-      for (a <- t.conclusion; c <- VREM.ctors.get(a.rel)) {
-        val res = idOf(a.args(c.resultPos))
-        if (inst.meta(res).isEmpty) {
-          val childMetas = c.childPos.map(p => inst.meta(idOf(a.args(p))))
-          VREM.derive(a.rel, childMetas.toVector, inst.est).foreach { m =>
-            inst.setMeta(res, m); progressed = true
+    private def applyBound(threshold: Double): Int = {
+      def idOf(a: CAtom, p: Int): Int = b.value(a.args(p))
+      def childMetas(a: CAtom): Vector[Option[Meta]] = a.ctor.childPos.map(p => inst.meta(idOf(a, p)))
+      val ctors = c.conclusion.filter(_.ctor != null)
+
+      // Derive metadata for existential results, atoms in dependency order.
+      var progressed = true
+      while (progressed) {
+        progressed = false
+        for (a <- ctors) {
+          val res = idOf(a, a.ctor.resultPos)
+          if (inst.meta(res).isEmpty) {
+            VREM.derive(a.rel, childMetas(a), inst.est).foreach { m =>
+              inst.setMeta(res, m); progressed = true
+            }
           }
         }
       }
-    }
-    // Second pass: a new derivation of an *existing* class may be tighter —
-    // setMeta keeps the minimum nnz (value-equal classes share true nnz).
-    for (a <- t.conclusion; c <- VREM.ctors.get(a.rel)) {
-      val childMetas = c.childPos.map(p => inst.meta(idOf(a.args(p))))
-      VREM.derive(a.rel, childMetas.toVector, inst.est)
-        .foreach(m => inst.setMeta(idOf(a.args(c.resultPos)), m))
-    }
+      // Second pass: a new derivation of an *existing* class may be tighter —
+      // setMeta keeps the minimum nnz (value-equal classes share true nnz).
+      for (a <- ctors)
+        VREM.derive(a.rel, childMetas(a), inst.est).foreach(m => inst.setMeta(idOf(a, a.ctor.resultPos), m))
 
-    // Prune_prov: skip the whole step if some intermediate it introduces is
-    // already more expensive than the best-known complete rewriting.
-    val tooExpensive = t.pruneable && t.conclusion.exists { a =>
-      VREM.ctors.get(a.rel).exists { c =>
-        inst.meta(idOf(a.args(c.resultPos))).exists(_.nnz > threshold)
-      }
-    }
-    if (tooExpensive) return -1
+      // Prune_prov: skip the whole step if some intermediate it introduces is
+      // already more expensive than the best-known complete rewriting.
+      val tooExpensive = t.pruneable &&
+        ctors.exists(a => inst.meta(idOf(a, a.ctor.resultPos)).exists(_.nnz > threshold))
+      if (tooExpensive) return -1
 
-    var added = 0
-    for (a <- t.conclusion)
-      if (inst.addFact(a.rel, a.args.map(idOf))) added += 1
-    // Record size facts for newly derived classes so size-guarded rules
-    // (vector special cases, dimension-checked reverse rules) can fire.
-    for (a <- t.conclusion; c <- VREM.ctors.get(a.rel)) {
-      val res = idOf(a.args(c.resultPos))
-      inst.meta(res).foreach { m =>
-        inst.addFact("size",
-          Vector(res, inst.const(m.rows.toString), inst.const(m.cols.toString)))
+      var added = 0
+      for ((a, r) <- c.conclusion.zip(concl.rels))
+        if (inst.add(r, Vector.tabulate(a.args.length)(idOf(a, _)))) added += 1
+      // Record size facts for newly derived classes so size-guarded rules
+      // (vector special cases, dimension-checked reverse rules) can fire.
+      for (a <- ctors) {
+        val res = idOf(a, a.ctor.resultPos)
+        inst.meta(res).foreach { m =>
+          inst.addFact("size",
+            Vector(res, inst.const(m.rows.toString), inst.const(m.cols.toString)))
+        }
       }
+      added
     }
-    added
+  }
+
+  /** An EGD bound to one instance. */
+  private final class EgdRun(inst: Instance, e: EGD) {
+    private val b       = new Bindings(inst, e.compiled)
+    private val premise = new Search(b, e.compiled.premise)
+    private val Array(left, right) = e.compiled.named
+
+    /** (left, right) of every premise match, collected before any merge:
+      * unions change the classes the search compares.
+      */
+    def pairs(): Vector[(Int, Int)] = {
+      val out = Vector.newBuilder[(Int, Int)]
+      premise.run { () => out += (b.slot(left) -> b.slot(right)); true }
+      out.result()
+    }
   }
 
   /** Saturate the instance. `threshold` is γ of the original expression —
@@ -300,8 +413,8 @@ object Chase {
   def run(inst: Instance, constraints: Seq[Constraint], maxRounds: Int = 4,
           maxFacts: Int = 30000, threshold: Double = Double.PositiveInfinity,
           deadlineMillis: Long = 15000): Stats = {
-    val tgds = constraints.collect { case t: TGD => t }
-    val egds = constraints.collect { case e: EGD => e }
+    val tgds = constraints.collect { case t: TGD => new TgdRun(inst, t) }
+    val egds = constraints.collect { case e: EGD => new EgdRun(inst, e) }
     val deadline = System.nanoTime() + deadlineMillis * 1000000L
     def late: Boolean = System.nanoTime() > deadline
     var merges = 0
@@ -314,10 +427,8 @@ object Chase {
       while (changed) {
         changed = false
         if (inst.functionalClosure()) changed = true
-        for (e <- egds) {
-          val ms = matches(inst, e.premise, Map.empty).toList
-          for (h <- ms) if (inst.union(h(e.left), h(e.right))) { changed = true; merges += 1 }
-        }
+        for (e <- egds; (l, r) <- e.pairs())
+          if (inst.union(l, r)) { changed = true; merges += 1 }
         if (changed) inst.compact()
       }
     }
@@ -328,21 +439,20 @@ object Chase {
       round += 1
       equalitySaturate()
       var added = 0
-      for (t <- tgds
-           if !hitBudget && !hitDeadline &&
-              t.premise.forall(a => inst.factCountOf(a.rel) > 0)) {
-        // Snapshot matches before mutation so each round is a proper stage.
-        val it = matches(inst, t.premise, Map.empty)
-        while (it.hasNext && !hitBudget && !hitDeadline) {
-          val h = it.next()
-          if (!conclusionSatisfied(inst, t.conclusion, h)) {
-            applyTgd(inst, t, h, threshold) match {
+      for (tr <- tgds
+           if !hitBudget && !hitDeadline && tr.premise.rels.forall(_.facts.nonEmpty)) {
+        // Steps apply as matches are found; see Search for which of the
+        // facts they add the rest of the search still visits.
+        tr.premise.run { () =>
+          if (!tr.satisfied) {
+            tr.apply(threshold) match {
               case -1 => pruned += 1
               case n  => added += n
             }
           }
           if (inst.factCount > maxFacts) hitBudget = true
           if (late) hitDeadline = true
+          !hitBudget && !hitDeadline
         }
       }
       equalitySaturate()

@@ -23,6 +23,11 @@ final case class TGD(name: String, premise: Vector[PatAtom], conclusion: Vector[
   val premiseVars: Set[String]    = premise.flatMap(_.vars).toSet
   val existentials: Set[String]   = conclusion.flatMap(_.vars).toSet -- premiseVars
 
+  /** Premise and conclusion as the chase searches them; `named` holds the
+    * existentials' slots, in `existentials` order.
+    */
+  private[core] lazy val compiled: Chase.Compiled = Chase.compile(premise, conclusion, existentials.toSeq)
+
   /** Definitional rules (decompositions, Morpheus norm facts) declare the
     * *structure* of existing data rather than an evaluation alternative —
     * their conclusions are glue for further reasoning, never plan nodes the
@@ -33,7 +38,13 @@ final case class TGD(name: String, premise: Vector[PatAtom], conclusion: Vector[
 
 /** Premise match implies `left = right` (both must be premise variables). */
 final case class EGD(name: String, premise: Vector[PatAtom], left: String, right: String)
-    extends Constraint
+    extends Constraint {
+
+  /** The premise as the chase searches it; `named` holds the slots of
+    * `left` and `right`.
+    */
+  private[core] lazy val compiled: Chase.Compiled = Chase.compile(premise, Vector.empty, Seq(left, right))
+}
 
 object Constraints {
 

@@ -12,7 +12,7 @@ package repro.core
   * matrix multiply, add/subtract, scalar-matrix multiply, transpose, inverse,
   * determinant, trace, diagonal, element exponential, sum, rowSums, colSums,
   * column concatenation (for Morpheus-factorized matrices), Cholesky, and
-  * scalar arithmetic. Decompositions QR/LU/LUP exist only at the constraint
+  * scalar arithmetic. Decompositions QR/LU exist only at the constraint
   * level (they are reasoning devices, not plan nodes we decode).
   */
 sealed trait Expr extends Product with Serializable {

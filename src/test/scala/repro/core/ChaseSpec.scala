@@ -1,7 +1,8 @@
 package repro.core
 
 import org.scalatest.funsuite.AnyFunSuite
-import Constraints.{egd, tgd}
+import repro.bench.{Pipelines, Tables}
+import Constraints.{atom, egd, tgd}
 
 /** Chase mechanics: union-find semantics, functional closure, restricted
   * TGD application, EGD merging, Prune_prov, budgets.
@@ -111,5 +112,79 @@ class ChaseSpec extends AnyFunSuite {
       Vector(Constraints.atom("add_M(X,Y,Z)"), Constraints.atom("add_M(Y,X,Z)")),
       Map.empty).toList
     assert(joined.size == 2)
+  }
+
+  /** Reference homomorphism search: one nested loop per atom, in the given
+    * order, over every fact of the atom's relation. Bindings are class
+    * representatives, extending `bound` as given, like `Chase.matches`.
+    */
+  private def bruteForce(i: Instance, atoms: Vector[PatAtom],
+                         bound: Map[String, Int]): Vector[Map[String, Int]] =
+    atoms.foldLeft(Vector(bound)) { (bs, a) =>
+      for {
+        b  <- bs
+        f  <- i.facts(a.rel).toVector
+        nb <- a.args.indices.foldLeft(Option(b)) { (ob, k) =>
+                ob.flatMap { b =>
+                  val v = i.find(f(k)); val p = a.args(k)
+                  if (p.startsWith("\"")) Option.when(i.find(i.const(p.drop(1).dropRight(1))) == v)(b)
+                  else b.get(p) match {
+                    case Some(x) => Option.when(i.find(x) == v)(b)
+                    case None    => Some(b + (p -> v))
+                  }
+                }
+              }
+      } yield nb
+    }
+
+  private def multiset(ms: Seq[Map[String, Int]]): Map[Map[String, Int], Int] =
+    ms.groupMapReduce(identity)(_ => 1)(_ + _)
+
+  test("matches agrees with a nested-loop reference on a chased P2.17 instance") {
+    // P2.17 (naive, no views) at the RW_find dims, with C declared
+    // symmetric positive definite so the Cholesky rules add type/cho facts.
+    val i    = inst()
+    val meta = Tables.b3MetaFor("P2.17")
+    val e    = Pipelines.byId("P2.17")
+    Encoder.encode(i, e, meta.get)
+    i.addFact("type", Vector(i.classOfName("C").get, i.const("S")))
+    Chase.run(i, Catalog.all, maxFacts = 5000,
+              threshold = CostModel.gamma(e, meta.get, NaiveEstimator).cost)
+
+    val d = i.classOfName("D").get
+    val extra: Seq[(Vector[PatAtom], Map[String, Int])] = Seq(
+      Vector(atom("size(M,k,k)")) -> Map.empty,                       // repeated variable
+      Vector(atom("size(M,\"150\",\"150\")")) -> Map.empty,          // size literals
+      Vector(atom("size(M,\"150\",k)"), atom("size(N,k,\"150\")")) -> Map.empty,
+      Vector(atom("type(M,\"S\")"), atom("cho(M,L)")) -> Map.empty,     // type tag
+      Vector(atom("tr(X,Y)"), atom("tr(Y,X)")) -> Map.empty,            // self-join
+      Vector(atom("multi_M(X,Y,R)"), atom("size(R,a,b)")) -> Map("Y" -> d),
+      Vector(atom("multi_M(X,Y,R)")) -> Map("Y" -> d, "Unused" -> d),
+    )
+    val premises = Catalog.all.map {
+      case t: TGD => t.premise
+      case g: EGD => g.premise
+    }.map(_ -> Map.empty[String, Int])
+    // Conclusions extend premise matches: a non-empty `bound`, with the
+    // existentials left free.
+    val conclusions = for {
+      t <- Catalog.all.collect { case t: TGD => t }
+      h <- bruteForce(i, t.premise, Map.empty).take(25)
+    } yield t.conclusion -> h
+
+    var selfJoin, repeated, constant, withBound = 0
+    for ((atoms, bound) <- extra ++ premises ++ conclusions) {
+      val got  = Chase.matches(i, atoms, bound).toVector
+      val want = bruteForce(i, atoms, bound)
+      assert(multiset(got) == multiset(want), s"${atoms.mkString(", ")} with $bound")
+      if (want.nonEmpty) {
+        if (atoms.map(_.rel).distinct.size < atoms.size) selfJoin += 1
+        if (atoms.exists(a => a.vars.size < a.args.count(!_.startsWith("\"")))) repeated += 1
+        if (atoms.exists(_.args.exists(_.startsWith("\"")))) constant += 1
+        if (bound.nonEmpty) withBound += 1
+      }
+    }
+    assert(selfJoin > 0 && repeated > 0 && constant > 0 && withBound > 0,
+           s"coverage: selfJoin=$selfJoin repeated=$repeated constant=$constant bound=$withBound")
   }
 }
