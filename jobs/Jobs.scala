@@ -10,11 +10,17 @@ import repro.core.Rewriter
   */
 private object JobSession {
   def get(name: String): SparkSession =
-    SparkSession.builder
+    SparkSession.builder()
       .master(sys.env.getOrElse("SPARK_MASTER", "local[*]"))
       .appName(name)
       .config("spark.sql.autoBroadcastJoinThreshold", -1)
       .getOrCreate()
+
+  /** B7 and B8 rows: per query and variant, cell and wall speedups. */
+  def printHybrid(rows: Seq[Tables.HybridRow]): Unit =
+    rows.foreach(r =>
+      println(f"${r.query}%-5s ${r.variant}%-9s cellx=${r.cellSpeedup}%7.1f " +
+              f"wallx=${r.wallSpeedup}%6.1f"))
 }
 
 object B1 {
@@ -54,16 +60,12 @@ object B6 {
 
 object B7 {
   def main(args: Array[String]): Unit =
-    Tables.b7(JobSession.get("B7")).foreach(r =>
-      println(f"${r.query}%-5s ${r.variant}%-9s cellx=${r.cellSpeedup}%7.1f " +
-              f"wallx=${r.wallSpeedup}%6.1f"))
+    JobSession.printHybrid(Tables.b7(JobSession.get("B7")))
 }
 
 object B8 {
   def main(args: Array[String]): Unit =
-    Tables.b8(JobSession.get("B8")).foreach(r =>
-      println(f"${r.query}%-5s ${r.variant}%-6s cellx=${r.cellSpeedup}%7.1f " +
-              f"wallx=${r.wallSpeedup}%6.1f"))
+    JobSession.printHybrid(Tables.b8(JobSession.get("B8")))
 }
 
 object B9 {

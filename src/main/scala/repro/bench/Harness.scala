@@ -75,7 +75,7 @@ object Harness {
   }
 
   /** Rough agreement check between the two executions (sum of all cells). */
-  private def sanity(id: String, a: Exec.Result, b: Exec.Result): Unit = {
+  private[bench] def sanity(id: String, a: Exec.Result, b: Exec.Result): Unit = {
     val (x, y) = (summary(a), summary(b))
     if (x.isNaN || x.isInfinite)
       require(y.isNaN || y.isInfinite || math.abs(y) > 1e100,

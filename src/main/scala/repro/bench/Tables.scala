@@ -267,16 +267,8 @@ object Tables {
     val rw   = Exec.run(r.best, envR)
     val rwMs = (System.nanoTime() - t1) / 1e6
 
-    // Sanity: same scalar summary on both routes.
-    val (sa, sb) = (summaryOf(orig), summaryOf(rw))
-    require(math.abs(sa - sb) / math.max(1.0, math.abs(sa)) < 1e-6,
-            s"$q/$variant: $sa vs $sb (${r.best.render})")
+    Harness.sanity(s"$q/$variant (${r.best.render})", orig, rw)
     HybridRow(q, variant, origMs, rwMs, orig.totalCells, rw.totalCells)
-  }
-
-  private def summaryOf(r: Exec.Result): Double = r.value match {
-    case Exec.ScaV(v) => v
-    case Exec.MatV(m) => Ops.sumAll(m)
   }
 
   // --------------------------------------------------------------- B9 (Fig 12)

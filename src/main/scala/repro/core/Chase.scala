@@ -357,7 +357,7 @@ object Chase {
         for (a <- ctors) {
           val res = idOf(a, a.ctor.resultPos)
           if (inst.meta(res).isEmpty) {
-            VREM.derive(a.rel, childMetas(a), inst.est).foreach { m =>
+            a.ctor.derive(inst.est, childMetas(a)).foreach { m =>
               inst.setMeta(res, m); progressed = true
             }
           }
@@ -366,7 +366,7 @@ object Chase {
       // Second pass: a new derivation of an *existing* class may be tighter —
       // setMeta keeps the minimum nnz (value-equal classes share true nnz).
       for (a <- ctors)
-        VREM.derive(a.rel, childMetas(a), inst.est).foreach(m => inst.setMeta(idOf(a, a.ctor.resultPos), m))
+        a.ctor.derive(inst.est, childMetas(a)).foreach(m => inst.setMeta(idOf(a, a.ctor.resultPos), m))
 
       // Prune_prov: skip the whole step if some intermediate it introduces is
       // already more expensive than the best-known complete rewriting.

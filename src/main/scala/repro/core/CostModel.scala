@@ -17,35 +17,11 @@ object CostModel {
       case Mat(n) =>
         Costed(0.0, est.prepare(metaOf(n).getOrElse(sys.error(s"no metadata for matrix '$n'"))))
       case Sca(_) | Lit(_) => Costed(0.0, Meta.scalar)
-      case _ =>
-        val kids = x.children.map(rec)
-        val m = x match {
-          case Mul(_, _)    => est.mul(kids(0).meta, kids(1).meta)
-          case Add(_, _)    => est.add(kids(0).meta, kids(1).meta)
-          case Sub(_, _)    => est.add(kids(0).meta, kids(1).meta)
-          case Had(_, _)    => est.had(kids(0).meta, kids(1).meta)
-          case Div(_, _)    => est.div(kids(0).meta, kids(1).meta)
-          case ScaMul(_, _) => kids(1).meta
-          case T(_)         => est.tr(kids(0).meta)
-          case Inv(_)       => est.inv(kids(0).meta)
-          case Exp(_)       => est.exp(kids(0).meta)
-          case Diag(_)      => est.diag(kids(0).meta)
-          case RowSums(_)   => est.rowSums(kids(0).meta)
-          case ColSums(_)   => est.colSums(kids(0).meta)
-          case CBind(_, _)  => est.cbind(kids(0).meta, kids(1).meta)
-          case Cho(_)       => est.cho(kids(0).meta)
-          case Det(_) | Trace(_) | Sum(_)             => Meta.scalar
-          case SAdd(_, _) | SMul(_, _) | SInv(_)      => Meta.scalar
-          case Mat(_) | Sca(_) | Lit(_)               => Meta.scalar // unreachable
-        }
+      case n: Node =>
+        val kids = n.children.map(rec)
+        val m = n.ctor.derive(est, kids.map(k => Some(k.meta)).toVector).get
         Costed(kids.map(_.cost).sum + m.nnz, m)
     }
     rec(e)
-  }
-
-  /** Result dimensions of an expression (sanity checks in tests). */
-  def dims(e: Expr, metaOf: String => Option[Meta], est: Estimator): (Long, Long) = {
-    val m = gamma(e, metaOf, est).meta
-    (m.rows, m.cols)
   }
 }

@@ -62,12 +62,9 @@ object Encoder {
       case f if c.childPos.map(p => inst.find(f(p))) == canon => inst.find(f(c.resultPos))
     }
     existing.getOrElse {
-      val res  = inst.fresh()
-      val args = new Array[Int](VREM.arity(rel))
-      c.childPos.zip(canon).foreach { case (p, id) => args(p) = id }
-      args(c.resultPos) = res
-      inst.addFact(rel, args.toVector)
-      VREM.derive(rel, canon.map(id => inst.meta(id)), inst.est).foreach { m =>
+      val res = inst.fresh()
+      inst.addFact(rel, canon :+ res)
+      c.derive(inst.est, canon.map(inst.meta)).foreach { m =>
         inst.setMeta(res, m)
         recordSize(inst, res)
       }
@@ -78,29 +75,10 @@ object Encoder {
   /** Encode an expression; returns the result's equivalence class. */
   def encode(inst: Instance, e: Expr, metaOf: String => Option[Meta]): Int = {
     def rec(x: Expr): Int = x match {
-      case Mat(n)       => leafMat(inst, n, metaOf)
-      case Sca(n)       => leafSca(inst, n)
-      case Lit(v)       => leafLit(inst, v)
-      case Mul(a, b)    => addCtor(inst, "multi_M", Vector(rec(a), rec(b)))
-      case Add(a, b)    => addCtor(inst, "add_M", Vector(rec(a), rec(b)))
-      case Sub(a, b)    => addCtor(inst, "minus_M", Vector(rec(a), rec(b)))
-      case Had(a, b)    => addCtor(inst, "multi_E", Vector(rec(a), rec(b)))
-      case Div(a, b)    => addCtor(inst, "div_M", Vector(rec(a), rec(b)))
-      case ScaMul(s, m) => addCtor(inst, "multi_MS", Vector(rec(s), rec(m)))
-      case T(m)         => addCtor(inst, "tr", Vector(rec(m)))
-      case Inv(m)       => addCtor(inst, "inv_M", Vector(rec(m)))
-      case Exp(m)       => addCtor(inst, "exp", Vector(rec(m)))
-      case Diag(m)      => addCtor(inst, "diag", Vector(rec(m)))
-      case RowSums(m)   => addCtor(inst, "rowSums", Vector(rec(m)))
-      case ColSums(m)   => addCtor(inst, "colSums", Vector(rec(m)))
-      case CBind(a, b)  => addCtor(inst, "cbind", Vector(rec(a), rec(b)))
-      case Cho(m)       => addCtor(inst, "cho", Vector(rec(m)))
-      case Det(m)       => addCtor(inst, "det", Vector(rec(m)))
-      case Trace(m)     => addCtor(inst, "trace", Vector(rec(m)))
-      case Sum(m)       => addCtor(inst, "sum", Vector(rec(m)))
-      case SAdd(a, b)   => addCtor(inst, "add_S", Vector(rec(a), rec(b)))
-      case SMul(a, b)   => addCtor(inst, "multi_S", Vector(rec(a), rec(b)))
-      case SInv(a)      => addCtor(inst, "inv_S", Vector(rec(a)))
+      case Mat(n)  => leafMat(inst, n, metaOf)
+      case Sca(n)  => leafSca(inst, n)
+      case Lit(v)  => leafLit(inst, v)
+      case n: Node => addCtor(inst, n.rel, n.children.map(rec).toVector)
     }
     rec(e)
   }

@@ -14,81 +14,23 @@ package repro.core
   * column concatenation (for Morpheus-factorized matrices), Cholesky, and
   * scalar arithmetic. Decompositions QR/LU exist only at the constraint
   * level (they are reasoning devices, not plan nodes we decode).
+  *
+  * Each operator is a [[Node]] naming its VREM relation; the relation's row
+  * in [[VREM.ctors]] supplies its rendering, encoding, metadata derivation
+  * and decoding.
   */
 sealed trait Expr extends Product with Serializable {
 
-  /** True iff this expression is scalar-valued (1x1). */
-  def isScalar: Boolean = this match {
-    case _: Sca | _: Lit | _: Det | _: Trace | _: Sum => true
-    case SAdd(_, _) | SMul(_, _) | SInv(_)            => true
-    case _                                            => false
-  }
-
   /** Compact, R-flavored rendering used in test assertions and bench rows. */
   def render: String = this match {
-    case Mat(n)       => n
-    case Sca(n)       => n
-    case Lit(v)       => if (v == v.floor && math.abs(v) < 1e15) v.toLong.toString else v.toString
-    case Mul(a, b)    => s"(${a.render} ${b.render})"
-    case Add(a, b)    => s"(${a.render}+${b.render})"
-    case Sub(a, b)    => s"(${a.render}-${b.render})"
-    case Had(a, b)    => s"(${a.render}*${b.render})"
-    case Div(a, b)    => s"(${a.render}/${b.render})"
-    case ScaMul(s, m) => s"(${s.render}.${m.render})"
-    case T(m)         => s"t(${m.render})"
-    case Inv(m)       => s"inv(${m.render})"
-    case Exp(m)       => s"exp(${m.render})"
-    case Diag(m)      => s"diag(${m.render})"
-    case RowSums(m)   => s"rowSums(${m.render})"
-    case ColSums(m)   => s"colSums(${m.render})"
-    case CBind(a, b)  => s"cbind(${a.render},${b.render})"
-    case Cho(m)       => s"cho(${m.render})"
-    case Det(m)       => s"det(${m.render})"
-    case Trace(m)     => s"trace(${m.render})"
-    case Sum(m)       => s"sum(${m.render})"
-    case SAdd(a, b)   => s"(${a.render}+${b.render})"
-    case SMul(a, b)   => s"(${a.render}*${b.render})"
-    case SInv(a)      => s"(1/${a.render})"
-  }
-
-  /** All leaf names referenced by this expression. */
-  def leaves: Set[String] = this match {
-    case Mat(n) => Set(n)
-    case Sca(n) => Set(n)
-    case _: Lit => Set.empty
-    case _      => children.flatMap(_.leaves).toSet
+    case Mat(n)  => n
+    case Sca(n)  => n
+    case Lit(v)  => if (v == v.floor && math.abs(v) < 1e15) v.toLong.toString else v.toString
+    case n: Node => n.ctor.render(n.children.map(_.render))
   }
 
   /** Direct sub-expressions, in syntactic order. */
-  def children: Seq[Expr] = this match {
-    case _: Mat | _: Sca | _: Lit => Nil
-    case Mul(a, b)                => Seq(a, b)
-    case Add(a, b)                => Seq(a, b)
-    case Sub(a, b)                => Seq(a, b)
-    case Had(a, b)                => Seq(a, b)
-    case Div(a, b)                => Seq(a, b)
-    case ScaMul(s, m)             => Seq(s, m)
-    case T(m)                     => Seq(m)
-    case Inv(m)                   => Seq(m)
-    case Exp(m)                   => Seq(m)
-    case Diag(m)                  => Seq(m)
-    case RowSums(m)               => Seq(m)
-    case ColSums(m)               => Seq(m)
-    case CBind(a, b)              => Seq(a, b)
-    case Cho(m)                   => Seq(m)
-    case Det(m)                   => Seq(m)
-    case Trace(m)                 => Seq(m)
-    case Sum(m)                   => Seq(m)
-    case SAdd(a, b)               => Seq(a, b)
-    case SMul(a, b)               => Seq(a, b)
-    case SInv(a)                  => Seq(a)
-  }
-
-  /** Number of operator nodes (leaves excluded). */
-  def size: Int = this match {
-    case _: Mat | _: Sca | _: Lit => 0
-    case _                        => 1 + children.map(_.size).sum
-  }
+  def children: Seq[Expr] = productIterator.collect { case e: Expr => e }.toVector
 }
 
 /** Base matrix or materialized view, identified by name. */
@@ -100,25 +42,30 @@ final case class Sca(name: String) extends Expr
 /** Literal scalar. */
 final case class Lit(value: Double) extends Expr
 
-final case class Mul(a: Expr, b: Expr)    extends Expr
-final case class Add(a: Expr, b: Expr)    extends Expr
-final case class Sub(a: Expr, b: Expr)    extends Expr
-final case class Had(a: Expr, b: Expr)    extends Expr
-final case class Div(a: Expr, b: Expr)    extends Expr
-final case class ScaMul(s: Expr, m: Expr) extends Expr
-final case class T(m: Expr)               extends Expr
-final case class Inv(m: Expr)             extends Expr
-final case class Exp(m: Expr)             extends Expr
-final case class Diag(m: Expr)            extends Expr
-final case class RowSums(m: Expr)         extends Expr
-final case class ColSums(m: Expr)         extends Expr
-final case class CBind(a: Expr, b: Expr)  extends Expr
-final case class Cho(m: Expr)             extends Expr
+/** An operator node: its fields are its inputs, `rel` its VREM relation. */
+sealed abstract class Node(val rel: String) extends Expr {
+  def ctor: VREM.Ctor = VREM.ctors(rel)
+}
 
-final case class Det(m: Expr)   extends Expr
-final case class Trace(m: Expr) extends Expr
-final case class Sum(m: Expr)   extends Expr
+final case class Mul(a: Expr, b: Expr)    extends Node("multi_M")
+final case class Add(a: Expr, b: Expr)    extends Node("add_M")
+final case class Sub(a: Expr, b: Expr)    extends Node("minus_M")
+final case class Had(a: Expr, b: Expr)    extends Node("multi_E")
+final case class Div(a: Expr, b: Expr)    extends Node("div_M")
+final case class ScaMul(s: Expr, m: Expr) extends Node("multi_MS")
+final case class T(m: Expr)               extends Node("tr")
+final case class Inv(m: Expr)             extends Node("inv_M")
+final case class Exp(m: Expr)             extends Node("exp")
+final case class Diag(m: Expr)            extends Node("diag")
+final case class RowSums(m: Expr)         extends Node("rowSums")
+final case class ColSums(m: Expr)         extends Node("colSums")
+final case class CBind(a: Expr, b: Expr)  extends Node("cbind")
+final case class Cho(m: Expr)             extends Node("cho")
 
-final case class SAdd(a: Expr, b: Expr) extends Expr
-final case class SMul(a: Expr, b: Expr) extends Expr
-final case class SInv(a: Expr)          extends Expr
+final case class Det(m: Expr)   extends Node("det")
+final case class Trace(m: Expr) extends Node("trace")
+final case class Sum(m: Expr)   extends Node("sum")
+
+final case class SAdd(a: Expr, b: Expr) extends Node("add_S")
+final case class SMul(a: Expr, b: Expr) extends Node("multi_S")
+final case class SInv(a: Expr)          extends Node("inv_S")

@@ -17,7 +17,7 @@ object Extract {
 
   final case class Best(expr: Expr, cost: Double)
 
-  private final case class Node(rel: String, result: Int, children: Vector[Int])
+  private final case class ENode(rel: String, result: Int, children: Vector[Int])
 
   def extract(inst: Instance, target: Int): Option[Best] = {
     val leaves = mutable.HashMap[Int, Expr]()
@@ -31,13 +31,13 @@ object Extract {
     for (f <- inst.facts("sname"); n <- inst.constOf(f(1))) noteLeaf(inst.find(f(0)), Sca(n))
     for (f <- inst.facts("slit"); n <- inst.constOf(f(1)))  noteLeaf(inst.find(f(0)), Lit(n.toDouble))
 
-    val nodes = mutable.ArrayBuffer[Node]()
+    val nodes = mutable.ArrayBuffer[ENode]()
     for ((rel, c) <- VREM.ctors; f <- inst.facts(rel))
-      nodes += Node(rel, inst.find(f(c.resultPos)), c.childPos.map(p => inst.find(f(p))))
+      nodes += ENode(rel, inst.find(f(c.resultPos)), c.childPos.map(p => inst.find(f(p))))
 
     // (cost, astSize) per class, lexicographic order.
     val cost   = mutable.HashMap[Int, (Double, Int)]()
-    val choice = mutable.HashMap[Int, Node]()
+    val choice = mutable.HashMap[Int, ENode]()
     leaves.keys.foreach(cls => cost(cls) = (0.0, 0))
 
     def outNnz(cls: Int): Double = inst.meta(cls).map(_.nnz).getOrElse(Double.PositiveInfinity)
@@ -71,7 +71,7 @@ object Extract {
   private def decode(inst: Instance, cls: Int,
                      leaves: mutable.HashMap[Int, Expr],
                      cost: mutable.HashMap[Int, (Double, Int)],
-                     choice: mutable.HashMap[Int, Node],
+                     choice: mutable.HashMap[Int, ENode],
                      path: Set[Int]): Expr = {
     (leaves.get(cls), choice.get(cls)) match {
       case (Some(l), _) if cost(cls)._1 == 0.0 => l

@@ -35,8 +35,6 @@ object Rewriter {
     def improved: Boolean = bestCost < originalCost - 1e-9
     /** What HADAD hands to the engine: the rewriting iff it is cheaper. */
     def chosen: Expr = if (improved || best.render != original.render) best else original
-    def speedupEstimate: Double = if (bestCost == 0) Double.PositiveInfinity
-                                  else originalCost / bestCost
   }
 
   /** Rewrite `e` given base-matrix metadata and materialized views. */

@@ -37,7 +37,8 @@ class CostModelSpec extends AnyFunSuite {
   }
 
   test("dims helper reports result shape") {
-    assert(CostModel.dims(T(Mul(Mat("A"), Mat("B"))), metaOf, NaiveEstimator) == (40L, 40L))
+    val m = CostModel.gamma(T(Mul(Mat("A"), Mat("B"))), metaOf, NaiveEstimator).meta
+    assert((m.rows, m.cols) == (40L, 40L))
   }
 
   test("unknown leaf metadata raises") {

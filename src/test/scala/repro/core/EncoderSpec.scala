@@ -76,11 +76,23 @@ class EncoderSpec extends AnyFunSuite {
       SAdd(Det(Mat("A")), Det(Mat("B"))), SMul(Det(Mat("A")), Det(Mat("B"))),
       SInv(Det(Mat("A"))), Mul(Mat("A"), Mat("v")),
     )
-    for (e <- exprs) {
-      val i = new Instance(NaiveEstimator)
+    // The list covers every row of the operator table.
+    def rels(e: Expr): Set[String] = e match {
+      case n: Node => n.children.flatMap(rels).toSet + n.rel
+      case _       => Set.empty
+    }
+    assert(exprs.flatMap(rels).toSet == VREM.ctors.keySet)
+    // γ and the encoded classes' metadata come from the same derivation.
+    for (est <- Seq[() => Estimator](() => NaiveEstimator, () => new MNCEstimator); e <- exprs) {
+      val i = new Instance(est())
       val r = Encoder.encode(i, e, m2.get)
       val best = Extract.extract(i, r).get
       assert(best.expr.render == e.render, s"round-trip broke for ${e.render}")
+      val g = CostModel.gamma(e, m2.get, est())
+      val m = i.meta(r).get
+      assert(best.cost == g.cost, s"${e.render}: extracted cost vs γ")
+      assert((m.rows, m.cols, m.nnz) == (g.meta.rows, g.meta.cols, g.meta.nnz),
+             s"${e.render}: encoded Meta vs γ's")
     }
   }
 }

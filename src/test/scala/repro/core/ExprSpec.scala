@@ -2,7 +2,7 @@ package repro.core
 
 import org.scalatest.funsuite.AnyFunSuite
 
-/** AST basics: rendering, leaves, children, sizes, scalar classification. */
+/** AST basics: rendering and children. */
 class ExprSpec extends AnyFunSuite {
 
   private val e = Sum(Mul(T(Mat("M")), Add(Mat("N"), ScaMul(Sca("s"), Mat("M")))))
@@ -13,26 +13,6 @@ class ExprSpec extends AnyFunSuite {
     assert(Div(Mat("A"), Mat("B")).render == "(A/B)")
     assert(Lit(3.0).render == "3")
     assert(Lit(2.5).render == "2.5")
-  }
-
-  test("leaves collects every referenced name") {
-    assert(e.leaves == Set("M", "N", "s"))
-    assert(Lit(1.0).leaves.isEmpty)
-  }
-
-  test("size counts operator nodes only") {
-    assert(Mat("M").size == 0)
-    assert(e.size == 5)
-  }
-
-  test("isScalar marks scalar-valued nodes") {
-    assert(Det(Mat("M")).isScalar)
-    assert(Trace(Mat("M")).isScalar)
-    assert(Sum(Mat("M")).isScalar)
-    assert(SAdd(Lit(1), Lit(2)).isScalar)
-    assert(SInv(Lit(2)).isScalar)
-    assert(!Mul(Mat("A"), Mat("B")).isScalar)
-    assert(!RowSums(Mat("A")).isScalar)
   }
 
   test("children are in syntactic order") {
