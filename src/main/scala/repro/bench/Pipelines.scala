@@ -12,8 +12,10 @@ import repro.core.Rewriter.View
   *  - [[noViewsExpected]]: the rewrites HADAD is reported to find without
   *    views (Tables 12–13),
   *  - [[vexp]] / [[viewsExpected]]: the view set V_exp (Table 14) and the
-  *    view-based rewrites (Table 15),
-  *  - [[p3]]: the hybrid micro-benchmark LA parts (Table 7).
+  *    view-based rewrites (Table 15).
+  *
+  * The hybrid micro-benchmark's LA parts (Table 7) live with their RA
+  * stages in `repro.hybrid.HybridQueries.queries`.
   *
   * Where a paper table cell is garbled (unbalanced parentheses, obvious
   * typos — see EXPERIMENTS.md notes), the intended expression is used.
@@ -235,24 +237,4 @@ object Pipelines {
 
   /** P^Views — the 30 pipelines the paper answers with V_exp (§9.1.2). */
   val viewsIds: Vector[String] = (p1 ++ p2).map(_._1).filter(viewsExpected.contains)
-
-  // -------------------------------------- Table 7: hybrid LA parts (P3.*)
-  // Leaves: M (join output, nT x 12 dense), N (tweet-hashtag, nT x h
-  // ultra-sparse), X/C/u/v synthetic, dims solved per query as in §9.2.2.
-  private val Mh = Mat("M"); private val Nh = Mat("N")
-  private val Xh = Mat("X"); private val Ch = Mat("C")
-  private val uh = Mat("u"); private val vh = Mat("v")
-
-  val p3: Vector[(String, Expr)] = Vector(
-    "P3.1"  -> Add(RowSums(Mul(Xh, Mh)), Mul(Add(Mul(uh, T(vh)), T(Nh)), vh)),
-    "P3.2"  -> Add(Mul(uh, ColSums(T(Mul(Xh, Mh)))), Nh),
-    "P3.3"  -> Mul(Mul(Add(Nh, Xh), vh), ColSums(Mh)),
-    "P3.4"  -> Sum(Add(Ch, Mul(Mul(Nh, RowSums(Mul(Xh, Mh))), vh))),
-    "P3.5"  -> Add(Mul(uh, ColSums(Mul(Mh, Xh))), Nh),
-    "P3.6"  -> Add(RowSums(T(Mul(Mh, Xh))), Mul(Add(Mul(uh, T(vh)), Nh), vh)),
-    "P3.7"  -> Add(Mul(Mul(Xh, Nh), uh), RowSums(T(Mh))),
-    "P3.8"  -> ScaMul(Trace(Add(Ch, Mul(Mul(vh, ColSums(Mul(Mh, Xh))), Ch))), Nh),
-    "P3.9"  -> Add(ScaMul(Sum(Had(T(ColSums(Ch)), RowSums(Mh))), Xh), Nh),
-    "P3.10" -> ScaMul(Sum(Mul(Add(Xh, Ch), Mh)), Nh),
-  )
 }

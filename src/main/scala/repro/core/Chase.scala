@@ -63,13 +63,6 @@ final class Instance(val est: Estimator) {
   /** Storage of `rel`, created empty on first use. */
   private[core] def relation(rel: String): Rel = rels.getOrElseUpdate(rel, new Rel)
 
-  /** Facts of `rel` whose argument at `pos` is (currently) `value`.
-    * May under-report between a merge and the next compact(); the chase's
-    * saturation loop re-runs with a fresh index until nothing changes.
-    */
-  def lookup(rel: String, pos: Int, value: Int): collection.IndexedSeq[Vector[Int]] =
-    rels.get(rel).flatMap(r => Option(r.bucket(pos, find(value)))).getOrElse(Vector.empty)
-
   def fresh(): Int = { parent += parent.length; parent.length - 1 }
 
   /** Intern a constant (quoted token without the quotes). */
@@ -408,11 +401,12 @@ object Chase {
 
   /** Saturate the instance. `threshold` is γ of the original expression —
     * the initial Prune_prov bound (γ is monotonic, so any rewriting using a
-    * larger intermediate can never beat the original, §8).
+    * larger intermediate can never beat the original, §8). The budgets'
+    * defaults live in [[Rewriter.Config]] only.
     */
-  def run(inst: Instance, constraints: Seq[Constraint], maxRounds: Int = 4,
-          maxFacts: Int = 30000, threshold: Double = Double.PositiveInfinity,
-          deadlineMillis: Long = 15000): Stats = {
+  def run(inst: Instance, constraints: Seq[Constraint], maxRounds: Int,
+          maxFacts: Int, threshold: Double = Double.PositiveInfinity,
+          deadlineMillis: Long): Stats = {
     val tgds = constraints.collect { case t: TGD => new TgdRun(inst, t) }
     val egds = constraints.collect { case e: EGD => new EgdRun(inst, e) }
     val deadline = System.nanoTime() + deadlineMillis * 1000000L

@@ -3,7 +3,8 @@ package repro.matrix
 import org.apache.spark.storage.StorageLevel
 import repro.core._
 
-/** "As stated" pipeline evaluator over the distributed COO engine.
+/** "As stated" pipeline evaluator over the distributed COO engine: [[Eval]]
+  * with the [[Ops]] kernels.
   *
   * Every operator's output is **materialized** (persist + count) before the
   * next operator runs, mirroring how the paper's backends execute a pipeline
@@ -14,122 +15,39 @@ import repro.core._
   */
 object Exec {
 
-  sealed trait EVal
-  final case class MatV(m: COOMatrix) extends EVal
-  final case class ScaV(v: Double)    extends EVal
+  type EVal = Val[COOMatrix]
+  val MatV = Val.Mat
+  val ScaV = Val.Sca
 
   type Env = Map[String, EVal]
 
+  /** One operator node: its VREM relation and its output's cells (1 for a scalar). */
   final case class Step(op: String, cells: Long)
 
   final case class Result(value: EVal, steps: Vector[Step], wallMillis: Double) {
     /** Total materialized intermediate cells — the deterministic bench metric. */
     def totalCells: Long = steps.map(_.cells).sum
-    def scalar: Double = value match {
-      case ScaV(v) => v
-      case MatV(m) =>
-        require(m.rows == 1 && m.cols == 1, s"not scalar: ${m.rows}x${m.cols}")
-        m.df.collect().headOption.map(_.getDouble(2)).getOrElse(0.0)
-    }
-  }
-
-  private def asMat(v: EVal, spark: org.apache.spark.sql.SparkSession): COOMatrix = v match {
-    case MatV(m) => m
-    case ScaV(s) => COOMatrix.fromBreeze(spark, breeze.linalg.DenseMatrix.fill(1, 1)(s))
-  }
-
-  private def asSca(v: EVal): Double = v match {
-    case ScaV(s) => s
-    case MatV(m) =>
-      require(m.rows == 1 && m.cols == 1, s"not scalar: ${m.rows}x${m.cols}")
-      m.df.collect().headOption.map(_.getDouble(2)).getOrElse(0.0)
+    def scalar: Double = value.fold(identity, Ops.scalar)
   }
 
   /** Evaluate `e` over `env`, materializing every operator output. */
   def run(e: Expr, env: Env): Result = {
-    val t0      = System.nanoTime()
-    val steps   = Vector.newBuilder[Step]
+    val t0        = System.nanoTime()
+    val steps     = Vector.newBuilder[Step]
     val persisted = scala.collection.mutable.ArrayBuffer[COOMatrix]()
 
-    def materialize(op: String, m: COOMatrix): COOMatrix = {
-      m.df.persist(StorageLevel.MEMORY_AND_DISK)
-      val n = m.nnz
-      persisted += m
-      steps += Step(op, n)
-      m
+    def materialize(n: Node, v: EVal): EVal = {
+      steps += Step(n.rel, v.fold(_ => 1L, { m =>
+        m.df.persist(StorageLevel.MEMORY_AND_DISK)
+        persisted += m
+        m.nnz
+      }))
+      v
     }
-    def scalarStep(op: String, v: Double): EVal = { steps += Step(op, 1L); ScaV(v) }
-
-    def rec(x: Expr): EVal = x match {
-      case Mat(n) => env.getOrElse(n, sys.error(s"unbound matrix '$n'"))
-      case Sca(n) => ScaV(asSca(env.getOrElse(n, sys.error(s"unbound scalar '$n'"))))
-      case Lit(v) => ScaV(v)
-      case Mul(a, b) =>
-        (rec(a), rec(b)) match {
-          case (ScaV(s1), ScaV(s2)) => scalarStep("mul", s1 * s2)
-          case (ScaV(s), MatV(m))   => MatV(materialize("smul", Ops.scalarMul(s, m)))
-          case (MatV(m), ScaV(s))   => MatV(materialize("smul", Ops.scalarMul(s, m)))
-          case (MatV(m), MatV(n))   => MatV(materialize("mul", Ops.multiply(m, n)))
-        }
-      case Add(a, b)    => bin("add", a, b, Ops.add, _ + _)
-      case Sub(a, b)    => bin("sub", a, b, Ops.subtract, _ - _)
-      case Had(a, b)    => bin("had", a, b, Ops.hadamard, _ * _)
-      case Div(a, b)    => bin("div", a, b, Ops.divide, _ / _)
-      case ScaMul(s, m) =>
-        val c = asSca(rec(s))
-        rec(m) match {
-          case MatV(x) => MatV(materialize("smul", Ops.scalarMul(c, x)))
-          case ScaV(x) => scalarStep("smul", c * x)
-        }
-      case T(m)       => un("tr", m, Ops.transpose)
-      case Inv(m)     => rec(m) match {
-        case ScaV(s) => scalarStep("sinv", 1.0 / s)
-        case MatV(x) => MatV(materialize("inv", Ops.inverse(x)))
-      }
-      case Exp(m)     => un("exp", m, Ops.expElem)
-      case Diag(m)    => un("diag", m, Ops.diag)
-      case RowSums(m) => un("rowSums", m, Ops.rowSums)
-      case ColSums(m) => un("colSums", m, Ops.colSums)
-      case CBind(a, b) => bin("cbind", a, b, Ops.cbind, (_, _) => sys.error("cbind of scalars"))
-      case Cho(m)     => un("cho", m, Ops.choleskyL)
-      case Det(m)     => scalarStep("det", Ops.determinant(matOf(rec(m))))
-      case Trace(m)   => scalarStep("trace", Ops.trace(matOf(rec(m))))
-      case Sum(m)     => rec(m) match {
-        case ScaV(s) => scalarStep("sum", s)
-        case MatV(x) => scalarStep("sum", Ops.sumAll(x))
-      }
-      case SAdd(a, b) => scalarStep("sadd", asSca(rec(a)) + asSca(rec(b)))
-      case SMul(a, b) => scalarStep("smuls", asSca(rec(a)) * asSca(rec(b)))
-      case SInv(a)    => scalarStep("sinv", 1.0 / asSca(rec(a)))
-    }
-
-    def matOf(v: EVal): COOMatrix = v match {
-      case MatV(m) => m
-      case ScaV(_) => sys.error("matrix operator applied to a scalar")
-    }
-
-    def bin(op: String, a: Expr, b: Expr,
-            f: (COOMatrix, COOMatrix) => COOMatrix,
-            fs: (Double, Double) => Double): EVal =
-      (rec(a), rec(b)) match {
-        case (ScaV(x), ScaV(y)) => scalarStep(op, fs(x, y))
-        case (x, y) =>
-          val (mx, my) = (x, y) match {
-            case (MatV(m), MatV(n)) => (m, n)
-            case (MatV(m), ScaV(s)) => (m, asMat(ScaV(s), m.spark))
-            case (ScaV(s), MatV(n)) => (asMat(ScaV(s), n.spark), n)
-            case _                  => sys.error("unreachable")
-          }
-          MatV(materialize(op, f(mx, my)))
-      }
-
-    def un(op: String, m: Expr, f: COOMatrix => COOMatrix): EVal =
-      MatV(materialize(op, f(matOf(rec(m)))))
 
     try {
-      val v  = rec(e)
-      val ms = (System.nanoTime() - t0) / 1e6
-      Result(v, steps.result(), ms)
+      val v = Eval(e, env, Ops, materialize)
+      Result(v, steps.result(), (System.nanoTime() - t0) / 1e6)
     } finally {
       // Keep the final result usable: unpersist lazily, not blocking.
       persisted.foreach(_.df.unpersist(blocking = false))

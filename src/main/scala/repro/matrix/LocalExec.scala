@@ -13,80 +13,44 @@ import repro.core._
   */
 object LocalExec {
 
-  sealed trait LVal
-  final case class LMat(m: DenseMatrix[Double]) extends LVal
-  final case class LSca(v: Double)              extends LVal
+  type LVal = Val[DenseMatrix[Double]]
+  val LMat = Val.Mat
+  val LSca = Val.Sca
 
   type Env = Map[String, LVal]
 
-  def asMat(v: LVal): DenseMatrix[Double] = v match {
-    case LMat(m) => m
-    case LSca(s) => DenseMatrix.fill(1, 1)(s)
-  }
+  def asMat(v: LVal): DenseMatrix[Double] = v.fold(Dense.lift, identity)
 
-  def asSca(v: LVal): Double = v match {
-    case LSca(s) => s
-    case LMat(m) =>
+  def eval(e: Expr, env: Env): LVal = Eval(e, env, Dense)
+
+  /** Breeze kernels, written apart from [[Ops]] so the two engines check each other. */
+  object Dense extends Kernels[DenseMatrix[Double]] {
+    type D = DenseMatrix[Double]
+    def lift(s: Double): D            = DenseMatrix.fill(1, 1)(s)
+    def scalar(m: D): Double = {
       require(m.rows == 1 && m.cols == 1, s"not a scalar: ${m.rows}x${m.cols}")
       m(0, 0)
+    }
+    def multiply(a: D, b: D): D       = a * b
+    def add(a: D, b: D): D            = a + b
+    def subtract(a: D, b: D): D       = a - b
+    def hadamard(a: D, b: D): D       = a *:* b
+    def divide(a: D, b: D): D         = a /:/ b
+    def scalarMul(c: Double, a: D): D = a * c
+    def transpose(a: D): D            = a.t.copy
+    def inverse(a: D): D              = binv(a)
+    def expElem(a: D): D              = breeze.numerics.exp(a)
+    def diag(x: D): D = DenseMatrix.tabulate(math.min(x.rows, x.cols), 1)((i, _) => x(i, i))
+    def rowSums(x: D): D =
+      DenseMatrix.tabulate(x.rows, 1)((i, _) => (0 until x.cols).map(x(i, _)).sum)
+    def colSums(x: D): D =
+      DenseMatrix.tabulate(1, x.cols)((_, j) => (0 until x.rows).map(x(_, j)).sum)
+    def cbind(a: D, b: D): D          = DenseMatrix.horzcat(a, b)
+    def choleskyL(a: D): D            = cholesky(a)
+    def determinant(a: D): Double     = bdet(a)
+    def trace(x: D): Double           = (0 until math.min(x.rows, x.cols)).map(i => x(i, i)).sum
+    def sumAll(a: D): Double          = breeze.linalg.sum(a)
   }
-
-  def eval(e: Expr, env: Env): LVal = e match {
-    case Mat(n)  => env.getOrElse(n, sys.error(s"unbound matrix '$n'"))
-    case Sca(n)  => LSca(asSca(env.getOrElse(n, sys.error(s"unbound scalar '$n'"))))
-    case Lit(v)  => LSca(v)
-    case Mul(a, b) =>
-      (eval(a, env), eval(b, env)) match {
-        // 1x1 results of scalar-yielding subexpressions multiply as scalars.
-        case (LSca(x), LSca(y)) => LSca(x * y)
-        case (LSca(x), LMat(m)) => LMat(m * x)
-        case (LMat(m), LSca(x)) => LMat(m * x)
-        case (LMat(x), LMat(y)) => LMat(x * y)
-      }
-    case Add(a, b)    => zip(a, b, env)(_ + _, _ + _)
-    case Sub(a, b)    => zip(a, b, env)(_ - _, _ - _)
-    case Had(a, b)    => zip(a, b, env)((x, y) => x *:* y, _ * _)
-    case Div(a, b)    => zip(a, b, env)((x, y) => x /:/ y, _ / _)
-    case ScaMul(s, m) => LMat(asMat(eval(m, env)) * asSca(eval(s, env)))
-    case T(m)         => LMat(asMat(eval(m, env)).t.copy)
-    case Inv(m)       => eval(m, env) match {
-      case LSca(x) => LSca(1.0 / x)
-      case LMat(x) => LMat(binv(x))
-    }
-    case Exp(m)       => LMat(breeze.numerics.exp(asMat(eval(m, env))))
-    case Diag(m)      =>
-      val x = asMat(eval(m, env)); val k = math.min(x.rows, x.cols)
-      LMat(DenseMatrix.tabulate(k, 1)((i, _) => x(i, i)))
-    case RowSums(m)   =>
-      val x = asMat(eval(m, env))
-      LMat(DenseMatrix.tabulate(x.rows, 1)((i, _) => (0 until x.cols).map(x(i, _)).sum))
-    case ColSums(m)   =>
-      val x = asMat(eval(m, env))
-      LMat(DenseMatrix.tabulate(1, x.cols)((_, j) => (0 until x.rows).map(x(_, j)).sum))
-    case CBind(a, b)  =>
-      val (x, y) = (asMat(eval(a, env)), asMat(eval(b, env)))
-      LMat(DenseMatrix.horzcat(x, y))
-    case Cho(m)       => LMat(cholesky(asMat(eval(m, env))))
-    case Det(m)       => LSca(bdet(asMat(eval(m, env))))
-    case Trace(m)     =>
-      val x = asMat(eval(m, env))
-      LSca((0 until math.min(x.rows, x.cols)).map(i => x(i, i)).sum)
-    case Sum(m)       => eval(m, env) match {
-      case LSca(x) => LSca(x)
-      case LMat(x) => LSca(breeze.linalg.sum(x))
-    }
-    case SAdd(a, b)   => LSca(asSca(eval(a, env)) + asSca(eval(b, env)))
-    case SMul(a, b)   => LSca(asSca(eval(a, env)) * asSca(eval(b, env)))
-    case SInv(a)      => LSca(1.0 / asSca(eval(a, env)))
-  }
-
-  private def zip(a: Expr, b: Expr, env: Env)(
-      fm: (DenseMatrix[Double], DenseMatrix[Double]) => DenseMatrix[Double],
-      fs: (Double, Double) => Double): LVal =
-    (eval(a, env), eval(b, env)) match {
-      case (LSca(x), LSca(y)) => LSca(fs(x, y))
-      case (x, y)             => LMat(fm(asMat(x), asMat(y)))
-    }
 
   /** Max |x-y| over all cells / the scalar pair, for equivalence asserts. */
   def maxDiff(x: LVal, y: LVal): Double = (x, y) match {

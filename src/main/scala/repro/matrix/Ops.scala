@@ -1,15 +1,27 @@
 package repro.matrix
 
+import org.apache.spark.sql.{DataFrame, SparkSession}
 import org.apache.spark.sql.functions._
-import breeze.linalg.{cholesky, det => bdet, inv => binv}
+import breeze.linalg.{DenseMatrix, cholesky, det => bdet, inv => binv}
 
-/** Distributed implementations of every `L_ops` operation over [[COOMatrix]].
+/** Distributed implementations of every `L_ops` operation over [[COOMatrix]]:
+  * the kernels [[Exec]] runs through [[Eval]].
   *
   * All data-parallel operators are expressed with DataFrame joins and
   * aggregations so they run through Catalyst; inverse, determinant,
   * Cholesky and element-exp gather to Breeze (see COOMatrix doc).
   */
-object Ops {
+object Ops extends Kernels[COOMatrix] {
+
+  /** `s` as a 1×1 matrix of the active Spark session. */
+  def lift(s: Double): COOMatrix =
+    COOMatrix.fromBreeze(SparkSession.active, DenseMatrix.fill(1, 1)(s))
+
+  /** The value of a 1×1 matrix (0 when its cell is not stored). */
+  def scalar(m: COOMatrix): Double = {
+    require(m.rows == 1 && m.cols == 1, s"not scalar: ${m.rows}x${m.cols}")
+    m.df.collect().headOption.map(_.getDouble(2)).getOrElse(0.0)
+  }
 
   /** Matrix product A·B via join on the contraction index + sum-aggregate. */
   def multiply(a: COOMatrix, b: COOMatrix): COOMatrix = {
@@ -63,17 +75,15 @@ object Ops {
     COOMatrix(a.df.groupBy("j").agg(sum("v") as "v").select(lit(0L) as "i", col("j"), col("v")),
               1, a.cols)
 
-  def sumAll(a: COOMatrix): Double =
-    a.df.agg(sum("v")).collect()(0) match {
-      case r if r.isNullAt(0) => 0.0
-      case r                  => r.getDouble(0)
-    }
+  def sumAll(a: COOMatrix): Double = total(a.df)
 
-  def trace(a: COOMatrix): Double =
-    a.df.filter(col("i") === col("j")).agg(sum("v")).collect()(0) match {
-      case r if r.isNullAt(0) => 0.0
-      case r                  => r.getDouble(0)
-    }
+  def trace(a: COOMatrix): Double = total(a.df.filter(col("i") === col("j")))
+
+  /** Σ v over the stored cells of `df` (0 when there are none). */
+  private def total(df: DataFrame): Double = {
+    val r = df.agg(sum("v")).collect()(0)
+    if (r.isNullAt(0)) 0.0 else r.getDouble(0)
+  }
 
   def diag(a: COOMatrix): COOMatrix =
     COOMatrix(a.df.filter(col("i") === col("j")).select(col("i"), lit(0L) as "j", col("v")),

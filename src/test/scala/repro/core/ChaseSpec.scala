@@ -52,7 +52,8 @@ class ChaseSpec extends AnyFunSuite {
     val (m, r) = (i.fresh(), i.fresh())
     i.setMeta(m, Meta.dense(5, 5)); i.setMeta(r, Meta.dense(5, 5))
     i.addFact("tr", Vector(m, r))
-    val st = Chase.run(i, Seq(tgd("tr-invol")("tr(M,R)")("tr(R,M)")), maxRounds = 10)
+    val st = Chase.run(i, Seq(tgd("tr-invol")("tr(M,R)")("tr(R,M)")), maxRounds = 10,
+                       maxFacts = 30000, deadlineMillis = 15000)
     assert(i.facts("tr").size == 2) // tr(m,r) and tr(r,m), nothing else
     assert(st.rounds <= 3)
   }
@@ -62,7 +63,8 @@ class ChaseSpec extends AnyFunSuite {
     val (i1, i2, m, r) = (i.fresh(), i.fresh(), i.fresh(), i.fresh())
     i.addFact("Identity", Vector(i1))
     i.addFact("multi_M", Vector(i1, m, r))
-    Chase.run(i, Seq(egd("id-l")("Identity(I)", "multi_M(I,M,R)")("R=M")))
+    Chase.run(i, Seq(egd("id-l")("Identity(I)", "multi_M(I,M,R)")("R=M")), maxRounds = 4,
+              maxFacts = 30000, deadlineMillis = 15000)
     assert(i.find(r) == i.find(m))
     assert(i2 >= 0) // silence unused warning
   }
@@ -75,7 +77,8 @@ class ChaseSpec extends AnyFunSuite {
     val q = Encoder.encode(i, Mul(Mul(Mat("M"), Mat("N")), Mat("M")), meta.get)
     // Original cost: MN = 100 cells + product 100*10000. Threshold below the
     // would-be (N M) intermediate of 10000x10000.
-    val st = Chase.run(i, Catalog.all, threshold = 2_000_000)
+    val st = Chase.run(i, Catalog.all, maxRounds = 4, maxFacts = 30000, threshold = 2_000_000,
+                       deadlineMillis = 15000)
     assert(st.prunedSteps > 0)
     val best = Extract.extract(i, q).get
     assert(best.expr.render == "((M N) M)") // original stays optimal
@@ -86,7 +89,7 @@ class ChaseSpec extends AnyFunSuite {
     val meta = (1 to 6).map(k => s"M$k" -> Meta.dense(50, 50)).toMap
     val chain = meta.keys.toSeq.sorted.map(Mat(_): Expr).reduceLeft(Add(_, _))
     Encoder.encode(i, chain, meta.get)
-    val st = Chase.run(i, Catalog.all, maxRounds = 10, maxFacts = 60)
+    val st = Chase.run(i, Catalog.all, maxRounds = 10, maxFacts = 60, deadlineMillis = 15000)
     assert(st.hitFactBudget)
     assert(i.factCount <= 200) // stopped shortly after the budget
   }
@@ -148,7 +151,7 @@ class ChaseSpec extends AnyFunSuite {
     val e    = Pipelines.byId("P2.17")
     Encoder.encode(i, e, meta.get)
     i.addFact("type", Vector(i.classOfName("C").get, i.const("S")))
-    Chase.run(i, Catalog.all, maxFacts = 5000,
+    Chase.run(i, Catalog.all, maxRounds = 4, maxFacts = 5000, deadlineMillis = 15000,
               threshold = CostModel.gamma(e, meta.get, NaiveEstimator).cost)
 
     val d = i.classOfName("D").get

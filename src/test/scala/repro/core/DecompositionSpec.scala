@@ -14,7 +14,7 @@ class DecompositionSpec extends AnyFunSuite {
     val m = Encoder.leafMat(i, "M", meta.get)
     i.addFact("type", Vector(m, i.const("S")))
     val e = Encoder.encode(i, Mul(Cho(Mat("M")), T(Cho(Mat("M")))), meta.get)
-    Chase.run(i, Catalog.all)
+    Chase.run(i, Catalog.all, maxRounds = 4, maxFacts = 30000, deadlineMillis = 15000)
     assert(i.find(e) == i.find(m))
   }
 
@@ -22,7 +22,8 @@ class DecompositionSpec extends AnyFunSuite {
     val i = new Instance(NaiveEstimator)
     val meta = Map("M" -> Meta.dense(12, 12))
     Encoder.leafMat(i, "M", meta.get)
-    val st = Chase.run(i, Catalog.laProperties ++ Catalog.qrlu, maxRounds = 8)
+    val st = Chase.run(i, Catalog.laProperties ++ Catalog.qrlu, maxRounds = 8,
+                       maxFacts = 30000, deadlineMillis = 15000)
     assert(!st.hitFactBudget && !st.hitDeadline)
     // An identity class exists and is a QR fixed point.
     val ids = i.facts("Identity").map(f => i.find(f(0))).toSet
@@ -38,7 +39,7 @@ class DecompositionSpec extends AnyFunSuite {
     val l = i.fresh()
     i.setMeta(l, Meta.dense(10, 10))
     i.addFact("type", Vector(l, i.const("L")))
-    Chase.run(i, Catalog.qrlu, maxRounds = 6)
+    Chase.run(i, Catalog.qrlu, maxRounds = 6, maxFacts = 30000, deadlineMillis = 15000)
     val ok = i.facts("LU").exists(f => i.find(f(0)) == i.find(l) && i.find(f(1)) == i.find(l))
     assert(ok, "LU(L, L, I) not derived")
   }

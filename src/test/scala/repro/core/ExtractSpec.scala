@@ -35,7 +35,8 @@ class ExtractSpec extends AnyFunSuite {
     val i = new Instance(NaiveEstimator)
     val q = Encoder.encode(i, T(T(Mat("A"))), meta.get)
     // Chase with the involution: t(t(A)) merges with A's class.
-    Chase.run(i, Seq(Catalog.byName("tr-invol")))
+    Chase.run(i, Seq(Catalog.byName("tr-invol")), maxRounds = 4, maxFacts = 30000,
+              deadlineMillis = 15000)
     val best = Extract.extract(i, q).get
     assert(best.expr == Mat("A"))
   }
@@ -43,7 +44,8 @@ class ExtractSpec extends AnyFunSuite {
   test("transpose cycles (tr-invol) do not break decoding") {
     val i = new Instance(NaiveEstimator)
     val q = Encoder.encode(i, T(Mat("A")), meta.get)
-    Chase.run(i, Seq(Catalog.byName("tr-invol")))
+    Chase.run(i, Seq(Catalog.byName("tr-invol")), maxRounds = 4, maxFacts = 30000,
+              deadlineMillis = 15000)
     val best = Extract.extract(i, q).get
     assert(best.expr.render == "t(A)")
     assert(best.cost == 900.0)

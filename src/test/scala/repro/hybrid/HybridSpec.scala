@@ -1,9 +1,7 @@
 package repro.hybrid
 
-import org.apache.spark.sql.functions._
 import repro.{Oracle, SparkSpec, TestEnvs}
 import repro.core._
-import repro.matrix.LocalExec
 
 /** Hybrid (RA + LA) stage tests: the RA preprocessing is checked against
   * DuckDB, the Catalyst view-substitution rule is exercised, and every

@@ -18,52 +18,76 @@ class ExecSpec extends SparkSpec {
     "v" -> LocalExec.rand(6, 1, 5),
   )
   private lazy val envSpark: Exec.Env =
-    envB.map { case (n, m) => n -> (MatV(COOMatrix.fromBreeze(spark, m)): EVal) }
+    envB.map { case (n, m) => n -> (MatV(COOMatrix.fromBreeze(spark, m)): EVal) } + ("s1" -> ScaV(1.7))
   private lazy val envLocal: LocalExec.Env =
-    envB.map { case (n, m) => n -> (LocalExec.LMat(m): LocalExec.LVal) }
+    envB.map { case (n, m) => n -> (LocalExec.LMat(m): LocalExec.LVal) } + ("s1" -> LocalExec.LSca(1.7))
 
-  private def check(e: Expr, tol: Double = 1e-8): Unit = {
-    val got = Exec.run(e, envSpark).value
+  /** Operator nodes of `e` in evaluation (post-)order. */
+  private def nodes(e: Expr): Seq[Node] = e match {
+    case n: Node => n.children.flatMap(nodes) :+ n
+    case _       => Nil
+  }
+
+  private def check(e: Expr, tol: Double): Unit = {
+    val run = Exec.run(e, envSpark)
     val exp = LocalExec.eval(e, envLocal)
-    val d = (got, exp) match {
+    val d = (run.value, exp) match {
       case (ScaV(x), LocalExec.LSca(y)) => math.abs(x - y)
       case (MatV(m), lv)                =>
         breeze.linalg.max(breeze.numerics.abs(m.toBreeze() - LocalExec.asMat(lv)))
       case other                        => fail(s"value kind mismatch: $other")
     }
     assert(d < tol, s"${e.render}: diff $d")
+    assert(run.steps.map(_.op) == nodes(e).map(_.rel), e.render)
   }
 
-  test("(MN)M as stated")         { check(Mul(Mul(Mat("M"), Mat("N")), Mat("M"))) }
-  test("M(NM) rewritten order")   { check(Mul(Mat("M"), Mul(Mat("N"), Mat("M")))) }
-  test("sum(MN)")                 { check(Sum(Mul(Mat("M"), Mat("N")))) }
-  test("sum(t(colSums(M))*rowSums(N))") {
-    check(Sum(Had(T(ColSums(Mat("M"))), RowSums(Mat("N")))))
+  private val (m, n, c, d, v) = (Mat("M"), Mat("N"), Mat("C"), Mat("D"), Mat("v"))
+  private def tight(es: Expr*): Seq[(Expr, Double)] = es.map(_ -> 1e-8)
+
+  /** Exec-vs-LocalExec agreement cases: name, then each pipeline with its tolerance. */
+  private val agreement: Seq[(String, Seq[(Expr, Double)])] = Seq(
+    "(MN)M as stated"               -> tight(Mul(Mul(m, n), m)),
+    "M(NM) rewritten order"         -> tight(Mul(m, Mul(n, m))),
+    "sum(MN)"                       -> tight(Sum(Mul(m, n))),
+    "sum(t(colSums(M))*rowSums(N))" -> tight(Sum(Had(T(ColSums(m)), RowSums(n)))),
+    "inv(C) inv(D) vs inv(DC)"      -> Seq(Mul(Inv(c), Inv(d)) -> 1e-6, Inv(Mul(d, c)) -> 1e-6),
+    "trace and det pipelines"       ->
+      Seq(SAdd(Trace(Inv(Mul(c, d))), Trace(d)) -> 1e-6, SMul(Det(c), Det(d)) -> 1e-3),
+    "(A+B)v vs Av+Bv"               -> tight(Mul(Add(m, m), v), Add(Mul(m, v), Mul(m, v))),
+    "element-wise sub, div and exp" -> tight(Sub(m, Had(m, m)), Div(m, Exp(m))),
+    "scalar times matrix, scalar inverse" -> tight(ScaMul(SInv(Sum(m)), m)),
+    "diag, cbind and cholesky"      -> tight(Diag(c), CBind(m, m), Cho(c)),
+    // Both engines follow Eval's scalar rule. sum(v), not sum(M), keeps
+    // exp's result small enough for an absolute tolerance.
+    "scalar inputs to matrix operators" -> {
+      val s = Sum(v)
+      tight(T(s), Exp(s), Diag(s), RowSums(s), ColSums(s), Det(s), Trace(s), Cho(s),
+            CBind(Sum(m), Sum(n)), ScaMul(Sca("s1"), Sum(m)))
+    },
+  )
+
+  agreement.foreach { case (name, cases) => test(name)(cases.foreach((check _).tupled)) }
+
+  test("agreement cases cover every VREM operator") {
+    assert(agreement.flatMap(_._2).map(_._1).flatMap(nodes).map(_.rel).toSet == VREM.ctors.keySet)
   }
-  test("inv(C) inv(D) vs inv(DC)") {
-    check(Mul(Inv(Mat("C")), Inv(Mat("D"))), tol = 1e-6)
-    check(Inv(Mul(Mat("D"), Mat("C"))), tol = 1e-6)
-  }
-  test("trace and det pipelines") {
-    check(SAdd(Trace(Inv(Mul(Mat("C"), Mat("D")))), Trace(Mat("D"))), tol = 1e-6)
-    check(SMul(Det(Mat("C")), Det(Mat("D"))), tol = 1e-3)
-  }
-  test("(A+B)v vs Av+Bv") {
-    val e1 = Mul(Add(Mat("M"), Mat("M")), Mat("v"))
-    val e2 = Add(Mul(Mat("M"), Mat("v")), Mul(Mat("M"), Mat("v")))
-    check(e1); check(e2)
+
+  test("Result.steps has one entry per operator node") {
+    val r = Exec.run(SAdd(Sum(Mul(m, n)), Trace(c)), envSpark)
+    assert(r.steps == Vector(Exec.Step("multi_M", 24 * 24), Exec.Step("sum", 1),
+                             Exec.Step("trace", 1), Exec.Step("add_S", 1)))
   }
 
   test("materialization stats grow with intermediate size") {
-    val asStated = Exec.run(Mul(Mul(Mat("M"), Mat("N")), Mat("M")), envSpark)
-    val rewritten = Exec.run(Mul(Mat("M"), Mul(Mat("N"), Mat("M"))), envSpark)
+    val asStated = Exec.run(Mul(Mul(m, n), m), envSpark)
+    val rewritten = Exec.run(Mul(m, Mul(n, m)), envSpark)
     // (MN) is 24x24=576 cells; (NM) is 6x6=36 — the rewrite materializes less.
     assert(asStated.totalCells > rewritten.totalCells,
            s"${asStated.totalCells} vs ${rewritten.totalCells}")
   }
 
   test("scalar results surface through Result.scalar") {
-    val r = Exec.run(Sum(Mat("M")), envSpark)
+    val r = Exec.run(Sum(m), envSpark)
     assert(math.abs(r.scalar - breeze.linalg.sum(envB("M"))) < 1e-8)
   }
 }
