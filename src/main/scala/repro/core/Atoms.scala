@@ -1,10 +1,13 @@
 package repro.core
 
+import scala.collection.immutable.ListMap
+
 /** The VREM schema (Virtual Relational Encoding of Matrices, paper Table 1).
   *
-  * Every relation's last-listed "result" argument denotes the equivalence
-  * class of the operation's output; all other arguments are input classes or
-  * constants. `name`/`sname`/`slit` bind classes to named inputs, `size` and
+  * Every constructor relation's last-listed "result" argument denotes the
+  * equivalence class of the operation's output; all other arguments are input
+  * classes or constants. `name`/`sname`/`slit` bind classes to named inputs
+  * ([[leaves]]), [[functional]] declares the functionality EGDs, `size` and
   * `type` carry metadata used by constraint premises, and `QR`/`LU`/
   * `norm`/`Zero`/`Identity` are reasoning-only relations (they appear in
   * constraints but are never decoded into plan nodes).
@@ -59,11 +62,26 @@ object VREM {
     Ctor("cho",      1, c => Cho(c(0)),            call("cho"),           un(_.cho)),
   ).map(c => c.rel -> c).toMap
 
+  /** Leaf relations `rel(class, c)` in decoding order, each rebuilding its
+    * [[Leaf]] from the constant `c`.
+    */
+  val leaves: ListMap[String, String => Leaf] =
+    ListMap("name" -> (Mat(_)), "sname" -> (Sca(_)), "slit" -> (v => Lit(v.toDouble)))
+
+  /** The arguments of `rel` at `key` determine each argument at `determined`. */
+  final case class FD(rel: String, key: Vector[Int], determined: Vector[Int])
+
+  /** The functionality EGDs (paper §6.2.3), in the order the chase enforces
+    * them: each constructor's inputs determine its result, each leaf's
+    * constant its class, and a decomposition's input both factors (§6.2.5).
+    */
+  val functional: Seq[FD] =
+    ctors.values.map(c => FD(c.rel, c.childPos, Vector(c.resultPos))).toSeq ++
+    leaves.keys.map(FD(_, Vector(1), Vector(0))) ++
+    Seq("QR", "LU").map(FD(_, Vector(0), Vector(1, 2)))
+
   /** Relation name → arity. Unknown relations are rejected at parse time. */
   val arity: Map[String, Int] = Map(
-    "name"     -> 2, // name(M, n): matrix/view M is stored under name n
-    "sname"    -> 2, // sname(s, n): named scalar constant
-    "slit"     -> 2, // slit(s, v): literal scalar with value v (a constant)
     "size"     -> 3, // size(M, k, z)
     "type"     -> 2, // type(M, "S"|"L"|"U"|"O"|"P")
     "QR"       -> 3, // QR(M, Q, R) — reasoning-only
@@ -71,5 +89,5 @@ object VREM {
     "norm"     -> 4, // norm(M, S, K, R): M = cbind(S, K·R) (Morpheus PK-FK join)
     "Zero"     -> 1,
     "Identity" -> 1,
-  ) ++ ctors.map { case (rel, c) => rel -> (c.inputs + 1) }
+  ) ++ leaves.keys.map(_ -> 2) ++ ctors.map { case (rel, c) => rel -> (c.inputs + 1) }
 }

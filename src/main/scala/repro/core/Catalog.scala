@@ -10,7 +10,7 @@ import Constraints.{egd, tgd}
   * chase keeps them terminating.
   *
   * Functionality EGDs (the paper's I_{multi_M}, I_name, …) are not listed
-  * here — they are enforced wholesale by `Instance.functionalClosure`.
+  * here: they are schema knowledge, declared once in `VREM.functional`.
   */
 object Catalog {
 

@@ -123,16 +123,16 @@ final class Instance(val est: Estimator) {
   /** Re-canonicalize all facts after unions, drop duplicates, rebuild index. */
   def compact(): Unit = nFacts = rels.valuesIterator.map(_.compact(find)).sum
 
-  /** Merge results of functional relations: constructors keyed by their
-    * input positions, `name`/`sname`/`slit` keyed by the stored name (the
-    * paper's I_name and I_{op} EGDs). Returns true if anything merged.
+  /** Merge the classes that a functional dependency of [[VREM.functional]]
+    * determines from equal keys (the paper's I_name and I_{op} EGDs).
+    * Returns true if anything merged.
     */
   def functionalClosure(): Boolean = {
     var changed = false
-    def mergeBy(rel: String, keyPos: Vector[Int], resPos: Int): Unit = {
+    for (fd <- VREM.functional; resPos <- fd.determined) {
       val groups = mutable.HashMap[Vector[Int], Int]()
-      for (f <- facts(rel)) {
-        val key = keyPos.map(i => find(f(i)))
+      for (f <- facts(fd.rel)) {
+        val key = fd.key.map(i => find(f(i)))
         val res = find(f(resPos))
         groups.get(key) match {
           case Some(prev) if prev != res => if (union(prev, res)) changed = true
@@ -141,21 +141,36 @@ final class Instance(val est: Estimator) {
         }
       }
     }
-    for (c <- VREM.ctors.values) mergeBy(c.rel, c.childPos, c.resultPos)
-    mergeBy("name", Vector(1), 0)  // same stored name => same class (I_name)
-    mergeBy("sname", Vector(1), 0)
-    mergeBy("slit", Vector(1), 0)
-    // Multi-output decompositions are functional in every output (paper §6.2.5).
-    mergeBy("QR", Vector(0), 1); mergeBy("QR", Vector(0), 2)
-    mergeBy("LU", Vector(0), 1); mergeBy("LU", Vector(0), 2)
     changed
   }
 
+  /** The first fact of `rel`, in insertion order, holding the classes `key`
+    * at `keyPos`. It reads the positional index, which is exact while its
+    * keys are current: the encoder runs before any `union`, other callers
+    * after `Chase.run`'s final `compact`. A miss would only add a duplicate
+    * functional fact, which `functionalClosure` merges.
+    */
+  def lookup(rel: String, keyPos: Vector[Int], key: Vector[Int]): Option[Vector[Int]] =
+    rels.get(rel).flatMap { r =>
+      val canon   = key.map(find)
+      // Buckets keep insertion order, so the smallest holds the first match.
+      val buckets = keyPos.indices.map(i => r.bucket(keyPos(i), canon(i)))
+      if (buckets.contains(null)) None
+      else buckets.minBy(_.length).find(f => keyPos.indices.forall(i => find(f(keyPos(i))) == canon(i)))
+    }
+
+  /** Class that leaf `l`'s leaf fact binds, if there is one. */
+  private[core] def leafClass(l: Leaf): Option[Int] =
+    consts.get(l.key).flatMap(c => lookup(l.rel, Vector(1), Vector(c))).map(f => find(f(0)))
+
   /** Class for a stored name, if any `name` fact binds it. */
-  def classOfName(n: String): Option[Int] = {
-    val cid = consts.get(n).map(find)
-    cid.flatMap(c => facts("name").collectFirst { case f if find(f(1)) == c => find(f(0)) })
-  }
+  def classOfName(n: String): Option[Int] = leafClass(Mat(n))
+
+  /** Record `size(id, rows, cols)` if `id`'s Meta is known; size-guarded
+    * constraints (vector cases, square decompositions) match against it.
+    */
+  def recordSize(id: Int): Unit =
+    meta(id).foreach(m => addFact("size", Vector(id, const(m.rows.toString), const(m.cols.toString))))
 }
 
 /** Homomorphism search + restricted chase with Prune_prov-style cost pruning
@@ -340,26 +355,14 @@ object Chase {
 
     private def applyBound(threshold: Double): Int = {
       def idOf(a: CAtom, p: Int): Int = b.value(a.args(p))
-      def childMetas(a: CAtom): Vector[Option[Meta]] = a.ctor.childPos.map(p => inst.meta(idOf(a, p)))
       val ctors = c.conclusion.filter(_.ctor != null)
 
-      // Derive metadata for existential results, atoms in dependency order.
-      var progressed = true
-      while (progressed) {
-        progressed = false
-        for (a <- ctors) {
-          val res = idOf(a, a.ctor.resultPos)
-          if (inst.meta(res).isEmpty) {
-            a.ctor.derive(inst.est, childMetas(a)).foreach { m =>
-              inst.setMeta(res, m); progressed = true
-            }
-          }
-        }
-      }
-      // Second pass: a new derivation of an *existing* class may be tighter —
-      // setMeta keeps the minimum nnz (value-equal classes share true nnz).
+      // Derive metadata in one pass; TGD puts each existential's producer
+      // first. setMeta keeps the minimum nnz, so a new derivation may tighten
+      // an existing class (value-equal classes share true nnz).
       for (a <- ctors)
-        a.ctor.derive(inst.est, childMetas(a)).foreach(m => inst.setMeta(idOf(a, a.ctor.resultPos), m))
+        a.ctor.derive(inst.est, a.ctor.childPos.map(p => inst.meta(idOf(a, p))))
+          .foreach(inst.setMeta(idOf(a, a.ctor.resultPos), _))
 
       // Prune_prov: skip the whole step if some intermediate it introduces is
       // already more expensive than the best-known complete rewriting.
@@ -370,15 +373,7 @@ object Chase {
       var added = 0
       for ((a, r) <- c.conclusion.zip(concl.rels))
         if (inst.add(r, Vector.tabulate(a.args.length)(idOf(a, _)))) added += 1
-      // Record size facts for newly derived classes so size-guarded rules
-      // (vector special cases, dimension-checked reverse rules) can fire.
-      for (a <- ctors) {
-        val res = idOf(a, a.ctor.resultPos)
-        inst.meta(res).foreach { m =>
-          inst.addFact("size",
-            Vector(res, inst.const(m.rows.toString), inst.const(m.cols.toString)))
-        }
-      }
+      ctors.foreach(a => inst.recordSize(idOf(a, a.ctor.resultPos)))
       added
     }
   }

@@ -23,6 +23,14 @@ final case class TGD(name: String, premise: Vector[PatAtom], conclusion: Vector[
   val premiseVars: Set[String]    = premise.flatMap(_.vars).toSet
   val existentials: Set[String]   = conclusion.flatMap(_.vars).toSet -- premiseVars
 
+  // The chase derives metadata in one pass over the conclusion's constructor
+  // atoms, so the producer (result last) of an existential input comes first.
+  private val ctors = conclusion.filter(a => VREM.ctors.contains(a.rel))
+  for ((a, i) <- ctors.zipWithIndex; x <- a.args.init if existentials(x)) {
+    val producer = ctors.indexWhere(_.args.last == x)
+    require(producer < i, s"TGD $name: $a uses existential $x before ${ctors(producer)} produces it")
+  }
+
   /** Premise and conclusion as the chase searches them; `named` holds the
     * existentials' slots, in `existentials` order.
     */

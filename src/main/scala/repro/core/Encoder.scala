@@ -13,60 +13,32 @@ object Encoder {
     * (dims + nnz + optional MNC histograms).
     */
   def leafMat(inst: Instance, n: String, metaOf: String => Option[Meta]): Int =
-    inst.classOfName(n).getOrElse {
-      val id = inst.fresh()
-      inst.addFact("name", Vector(id, inst.const(n)))
+    leaf(inst, Mat(n)) { id =>
       metaOf(n).foreach { m =>
         inst.setMeta(id, inst.est.prepare(m))
-        recordSize(inst, id)
+        inst.recordSize(id)
       }
-      id
     }
 
-  def leafSca(inst: Instance, n: String): Int = {
-    val c = inst.const(n)
-    inst.facts("sname").collectFirst { case f if inst.find(f(1)) == inst.find(c) => inst.find(f(0)) }
-      .getOrElse {
-        val id = inst.fresh()
-        inst.addFact("sname", Vector(id, c))
-        inst.setMeta(id, Meta.scalar)
-        id
-      }
-  }
-
-  def leafLit(inst: Instance, v: Double): Int = {
-    val c = inst.const(v.toString)
-    inst.facts("slit").collectFirst { case f if inst.find(f(1)) == inst.find(c) => inst.find(f(0)) }
-      .getOrElse {
-        val id = inst.fresh()
-        inst.addFact("slit", Vector(id, c))
-        inst.setMeta(id, Meta.scalar)
-        id
-      }
-  }
-
-  /** Record a `size` fact (dims as interned constants) for a class whose
-    * Meta is known — size-guarded constraints (vector special cases, square
-    * decompositions) match against these.
-    */
-  def recordSize(inst: Instance, id: Int): Unit =
-    inst.meta(id).foreach { m =>
-      inst.addFact("size", Vector(id, inst.const(m.rows.toString), inst.const(m.cols.toString)))
+  /** Class of leaf `l`; on first use, a fresh class given to `init`. */
+  private def leaf(inst: Instance, l: Leaf)(init: Int => Unit): Int =
+    inst.leafClass(l).getOrElse {
+      val id = inst.fresh()
+      inst.addFact(l.rel, Vector(id, inst.const(l.key)))
+      init(id)
+      id
     }
 
   /** Add (or reuse) one constructor fact and return its result class. */
   def addCtor(inst: Instance, rel: String, children: Vector[Int]): Int = {
     val c     = VREM.ctors(rel)
     val canon = children.map(inst.find)
-    val existing = inst.facts(rel).collectFirst {
-      case f if c.childPos.map(p => inst.find(f(p))) == canon => inst.find(f(c.resultPos))
-    }
-    existing.getOrElse {
+    inst.lookup(rel, c.childPos, canon).map(f => inst.find(f(c.resultPos))).getOrElse {
       val res = inst.fresh()
       inst.addFact(rel, canon :+ res)
       c.derive(inst.est, canon.map(inst.meta)).foreach { m =>
         inst.setMeta(res, m)
-        recordSize(inst, res)
+        inst.recordSize(res)
       }
       res
     }
@@ -76,8 +48,7 @@ object Encoder {
   def encode(inst: Instance, e: Expr, metaOf: String => Option[Meta]): Int = {
     def rec(x: Expr): Int = x match {
       case Mat(n)  => leafMat(inst, n, metaOf)
-      case Sca(n)  => leafSca(inst, n)
-      case Lit(v)  => leafLit(inst, v)
+      case l: Leaf => leaf(inst, l)(inst.setMeta(_, Meta.scalar))
       case n: Node => addCtor(inst, n.rel, n.children.map(rec).toVector)
     }
     rec(e)

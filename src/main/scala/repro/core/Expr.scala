@@ -17,7 +17,7 @@ package repro.core
   *
   * Each operator is a [[Node]] naming its VREM relation; the relation's row
   * in [[VREM.ctors]] supplies its rendering, encoding, metadata derivation
-  * and decoding.
+  * and decoding. Each named input is a [[Leaf]], decoded by [[VREM.leaves]].
   */
 sealed trait Expr extends Product with Serializable {
 
@@ -33,14 +33,17 @@ sealed trait Expr extends Product with Serializable {
   def children: Seq[Expr] = productIterator.collect { case e: Expr => e }.toVector
 }
 
+/** A named input, encoded as the fact `rel(class, key)`. */
+sealed abstract class Leaf(val rel: String, val key: String) extends Expr
+
 /** Base matrix or materialized view, identified by name. */
-final case class Mat(name: String) extends Expr
+final case class Mat(name: String) extends Leaf("name", name)
 
 /** Named scalar constant (e.g. "s1"); bound to a value at execution time. */
-final case class Sca(name: String) extends Expr
+final case class Sca(name: String) extends Leaf("sname", name)
 
 /** Literal scalar. */
-final case class Lit(value: Double) extends Expr
+final case class Lit(value: Double) extends Leaf("slit", value.toString)
 
 /** An operator node: its fields are its inputs, `rel` its VREM relation. */
 sealed abstract class Node(val rel: String) extends Expr {

@@ -5,7 +5,7 @@ import scala.collection.mutable
 /** Minimum-cost decoding of a saturated instance (paper §5 `dec`, §7.3).
   *
   * Constructor facts are candidate plan nodes for their result class;
-  * `name`/`sname`/`slit` facts are free leaves (base inputs and materialized
+  * leaf facts ([[VREM.leaves]]) are free leaves (base inputs and materialized
   * views — a view scan costs nothing, like a base-matrix scan). A
   * Bellman-Ford-style fixpoint computes, per class,
   * `cost = min over nodes (nnz(class) + Σ cost(child))` — γ(E) = sum of
@@ -27,9 +27,8 @@ object Extract {
         case Some(old) if old.render <= e.render =>
         case _                                   => leaves(cls) = e
       }
-    for (f <- inst.facts("name"); n <- inst.constOf(f(1)))  noteLeaf(inst.find(f(0)), Mat(n))
-    for (f <- inst.facts("sname"); n <- inst.constOf(f(1))) noteLeaf(inst.find(f(0)), Sca(n))
-    for (f <- inst.facts("slit"); n <- inst.constOf(f(1)))  noteLeaf(inst.find(f(0)), Lit(n.toDouble))
+    for ((rel, build) <- VREM.leaves; f <- inst.facts(rel); n <- inst.constOf(f(1)))
+      noteLeaf(inst.find(f(0)), build(n))
 
     val nodes = mutable.ArrayBuffer[ENode]()
     for ((rel, c) <- VREM.ctors; f <- inst.facts(rel))

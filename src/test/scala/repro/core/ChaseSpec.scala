@@ -190,4 +190,33 @@ class ChaseSpec extends AnyFunSuite {
     assert(selfJoin > 0 && repeated > 0 && constant > 0 && withBound > 0,
            s"coverage: selfJoin=$selfJoin repeated=$repeated constant=$constant bound=$withBound")
   }
+
+  test("lookup and classOfName agree with a linear-scan reference on a chased P2.17 instance") {
+    // P2.17 with V_exp at the RW_find dims, chased as Rewriter.rewrite does.
+    val meta = Tables.b3MetaFor("P2.17")
+    val e    = Pipelines.byId("P2.17")
+    for (est <- Seq[() => Estimator](() => NaiveEstimator, () => new MNCEstimator)) {
+      val i = new Instance(est())
+      Pipelines.vexp.foreach(v => Encoder.encodeView(i, v.name, v.body, meta.get))
+      Encoder.encode(i, e, meta.get)
+      Chase.run(i, Catalog.all, maxRounds = 4, maxFacts = 5000, deadlineMillis = 15000,
+                threshold = CostModel.gamma(e, meta.get, est()).cost)
+
+      // Reference: the first fact in insertion order with the same key classes.
+      def first(rel: String, keyPos: Vector[Int], key: Vector[Int]): Option[Vector[Int]] =
+        i.facts(rel).find(g => keyPos.indices.forall(k => i.find(g(keyPos(k))) == i.find(key(k))))
+      val checked = for (fd <- VREM.functional; f <- i.facts(fd.rel)) yield {
+        val key = fd.key.map(p => i.find(f(p)))
+        assert(i.lookup(fd.rel, fd.key, key) == first(fd.rel, fd.key, key), s"${fd.rel}$f")
+        fd.rel
+      }
+      val rels = checked.toSet
+      assert(rels("name") && rels("multi_M") && rels("tr"), s"coverage: $rels")
+
+      val names = i.facts("name").flatMap(f => i.constOf(f(1)))
+      assert(names.contains("V1") && names.contains("D"))
+      for (n <- names)
+        assert(i.classOfName(n) == first("name", Vector(1), Vector(i.const(n))).map(f => i.find(f(0))), n)
+    }
+  }
 }

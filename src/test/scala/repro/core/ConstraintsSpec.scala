@@ -35,6 +35,18 @@ class ConstraintsSpec extends AnyFunSuite {
     assert(t.premiseVars == Set("M", "N", "R1", "R2"))
   }
 
+  test("TGD rejects a constructor atom before the producer of its existential input") {
+    val e = intercept[IllegalArgumentException] {
+      tgd("bad-order")("multi_M(M,N,R)")("multi_M(R3,N,R)", "tr(M,R3)")
+    }
+    assert(e.getMessage.contains("bad-order"))
+    assert(e.getMessage.contains("R3"))
+    // The producer first is accepted, and so is an existential that no
+    // constructor atom produces.
+    tgd("good-order")("multi_M(M,N,R)")("tr(M,R3)", "multi_M(R3,N,R)")
+    tgd("no-producer")("type(M,\"S\")")("QR(M,Q,R)", "multi_M(Q,R,M)")
+  }
+
   test("EGD requires both equated variables in the premise") {
     intercept[IllegalArgumentException] {
       egd("bad")("name(M,n)")("M=Z")

@@ -48,9 +48,9 @@ class EncoderSpec extends AnyFunSuite {
 
   test("scalar leaves: named scalars and literals intern by value") {
     val i = new Instance(NaiveEstimator)
-    val a = Encoder.leafSca(i, "s1"); val b = Encoder.leafSca(i, "s1")
+    val a = Encoder.encode(i, Sca("s1"), meta.get); val b = Encoder.encode(i, Sca("s1"), meta.get)
     assert(a == b)
-    val l1 = Encoder.leafLit(i, 2.5); val l2 = Encoder.leafLit(i, 2.5)
+    val l1 = Encoder.encode(i, Lit(2.5), meta.get); val l2 = Encoder.encode(i, Lit(2.5), meta.get)
     assert(l1 == l2)
     assert(i.meta(a).get.isScalar)
   }
