@@ -1,97 +1,86 @@
 package repro.core
 
-import Constraints.{egd, tgd}
+import scala.language.implicitConversions
+
+import Constraints.{egd, eqv, tgd}
 
 /** The `MMC` constraint catalog: relational encodings of LA properties
   * (paper Tables 8–9), matrix decompositions (Table 10), SystemML's
   * statistical/aggregate rewrite rules (`MMC_StatAgg`, Table 11), and
-  * Morpheus's factorized-learning rules (§9.2.2). Equivalences the search
-  * must traverse in both directions are stated as TGD pairs; the restricted
-  * chase keeps them terminating.
+  * Morpheus's factorized-learning rules (§9.2.2). Each fact is stated once:
+  * an equivalence the search traverses both ways is one `eqv` row, which
+  * yields the TGD and its exact swap (the restricted chase keeps the pair
+  * terminating), and no row is derivable from the others within the
+  * rewriter's budget (`CatalogMinimalSpec`; `CatalogSoundSpec` checks each
+  * row numerically). A TGD whose premise has no constructor atom (Cholesky,
+  * QR/LU, Morpheus `norm`) is definitional, so Prune_prov never cuts it.
   *
   * Functionality EGDs (the paper's I_{multi_M}, I_name, …) are not listed
   * here: they are schema knowledge, declared once in `VREM.functional`.
   */
 object Catalog {
 
+  // A group lists single rows and `eqv` pairs; a single row is a group of one.
+  private implicit def row(c: Constraint): Seq[Constraint] = Seq(c)
+  private def rows(rs: Seq[Constraint]*): Seq[Constraint] = rs.flatten
+
   // ---------------------------------------------------------------- addition
-  val addition: Seq[Constraint] = Seq(
+  val addition: Seq[Constraint] = rows(
     tgd("add-comm")("add_M(M,N,R)")("add_M(N,M,R)"),
+    // (M+N)+D = M+(N+D); with add-comm it also regroups the other way.
     tgd("add-assoc-1")("add_M(M,N,R1)", "add_M(R1,D,R2)")(
         "add_M(N,D,R3)", "add_M(M,R3,R2)"),
-    tgd("add-assoc-2")("add_M(N,D,R3)", "add_M(M,R3,R2)")(
-        "add_M(M,N,R1)", "add_M(R1,D,R2)"),
     // c(M+N) = cM + cN
-    tgd("smul-dist-add")("add_M(M,N,R1)", "multi_MS(c,R1,R2)")(
+    eqv("smul-dist-add", "smul-factor-add")("add_M(M,N,R1)", "multi_MS(c,R1,R2)")(
         "multi_MS(c,M,R3)", "multi_MS(c,N,R4)", "add_M(R3,R4,R2)"),
-    tgd("smul-factor-add")("multi_MS(c,M,R3)", "multi_MS(c,N,R4)", "add_M(R3,R4,R2)")(
-        "add_M(M,N,R1)", "multi_MS(c,R1,R2)"),
     // (c+d)M = cM + dM
-    tgd("sadd-dist")("add_S(c,d,s)", "multi_MS(s,M,R1)")(
+    eqv("sadd-dist", "sadd-factor")("add_S(c,d,s)", "multi_MS(s,M,R1)")(
         "multi_MS(c,M,R2)", "multi_MS(d,M,R3)", "add_M(R2,R3,R1)"),
-    tgd("sadd-factor")("multi_MS(c,M,R2)", "multi_MS(d,M,R3)", "add_M(R2,R3,R1)")(
-        "add_S(c,d,s)", "multi_MS(s,M,R1)"),
   )
 
   // ----------------------------------------------------------------- product
-  val product: Seq[Constraint] = Seq(
-    tgd("mul-assoc-1")("multi_M(M,N,R1)", "multi_M(R1,D,R2)")(
+  val product: Seq[Constraint] = rows(
+    // (MN)D = M(ND)
+    eqv("mul-assoc-1", "mul-assoc-2")("multi_M(M,N,R1)", "multi_M(R1,D,R2)")(
         "multi_M(N,D,R3)", "multi_M(M,R3,R2)"),
-    tgd("mul-assoc-2")("multi_M(N,D,R3)", "multi_M(M,R3,R2)")(
-        "multi_M(M,N,R1)", "multi_M(R1,D,R2)"),
     // M(N+D) = MN + MD
-    tgd("mul-dist-left")("add_M(N,D,R1)", "multi_M(M,R1,R2)")(
+    eqv("mul-dist-left", "mul-factor-left")("add_M(N,D,R1)", "multi_M(M,R1,R2)")(
         "multi_M(M,N,R3)", "multi_M(M,D,R4)", "add_M(R3,R4,R2)"),
-    tgd("mul-factor-left")("multi_M(M,N,R3)", "multi_M(M,D,R4)", "add_M(R3,R4,R2)")(
-        "add_M(N,D,R1)", "multi_M(M,R1,R2)"),
     // (M+N)D = MD + ND
-    tgd("mul-dist-right")("add_M(M,N,R1)", "multi_M(R1,D,R2)")(
+    eqv("mul-dist-right", "mul-factor-right")("add_M(M,N,R1)", "multi_M(R1,D,R2)")(
         "multi_M(M,D,R3)", "multi_M(N,D,R4)", "add_M(R3,R4,R2)"),
-    tgd("mul-factor-right")("multi_M(M,D,R3)", "multi_M(N,D,R4)", "add_M(R3,R4,R2)")(
-        "add_M(M,N,R1)", "multi_M(R1,D,R2)"),
     // (M-N)D = MD - ND (subtraction mirrors addition distributivity)
-    tgd("minus-dist-right")("minus_M(M,N,R1)", "multi_M(R1,D,R2)")(
+    eqv("minus-dist-right", "minus-factor-right")("minus_M(M,N,R1)", "multi_M(R1,D,R2)")(
         "multi_M(M,D,R3)", "multi_M(N,D,R4)", "minus_M(R3,R4,R2)"),
-    tgd("minus-factor-right")("multi_M(M,D,R3)", "multi_M(N,D,R4)", "minus_M(R3,R4,R2)")(
-        "minus_M(M,N,R1)", "multi_M(R1,D,R2)"),
     tgd("minus-dist-left")("minus_M(N,D,R1)", "multi_M(M,R1,R2)")(
         "multi_M(M,N,R3)", "multi_M(M,D,R4)", "minus_M(R3,R4,R2)"),
     // d(MN) = (dM)N
-    tgd("smul-assoc-mul")("multi_M(M,N,R1)", "multi_MS(d,R1,R2)")(
+    eqv("smul-assoc-mul", "smul-assoc-mul-rev")("multi_M(M,N,R1)", "multi_MS(d,R1,R2)")(
         "multi_MS(d,M,R3)", "multi_M(R3,N,R2)"),
-    tgd("smul-assoc-mul-rev")("multi_MS(d,M,R3)", "multi_M(R3,N,R2)")(
-        "multi_M(M,N,R1)", "multi_MS(d,R1,R2)"),
     // c(dM) = (cd)M
     tgd("smul-smul")("multi_MS(d,M,R1)", "multi_MS(c,R1,R2)")(
         "multi_S(c,d,s)", "multi_MS(s,M,R2)"),
-    // M⁻¹M = I = MM⁻¹ and IM = M = MI
+    // M⁻¹M = I (MM⁻¹ = I follows with inv-invol) and IM = M = MI
     tgd("inv-left-identity")("inv_M(M,R1)", "multi_M(R1,M,R2)")("Identity(R2)"),
-    tgd("inv-right-identity")("inv_M(M,R1)", "multi_M(M,R1,R2)")("Identity(R2)"),
     egd("identity-mul-left")("Identity(I)", "multi_M(I,M,R)")("R=M"),
     egd("identity-mul-right")("Identity(I)", "multi_M(M,I,R)")("R=M"),
   )
 
   // ------------------------------------------------------------ transposition
-  val transposition: Seq[Constraint] = Seq(
+  val transposition: Seq[Constraint] = rows(
     // (Mᵀ)ᵀ = M, stated as an involution (valid for all matrices).
     tgd("tr-invol")("tr(M,R)")("tr(R,M)"),
     // (MN)ᵀ = NᵀMᵀ
-    tgd("tr-mul")("multi_M(M,N,R1)", "tr(R1,R2)")(
+    eqv("tr-mul", "tr-mul-rev")("multi_M(M,N,R1)", "tr(R1,R2)")(
         "tr(M,R3)", "tr(N,R4)", "multi_M(R4,R3,R2)"),
-    tgd("tr-mul-rev")("tr(M,R3)", "tr(N,R4)", "multi_M(R4,R3,R2)")(
-        "multi_M(M,N,R1)", "tr(R1,R2)"),
     // (M+N)ᵀ = Mᵀ + Nᵀ
-    tgd("tr-add")("add_M(M,N,R1)", "tr(R1,R2)")(
+    eqv("tr-add", "tr-add-rev")("add_M(M,N,R1)", "tr(R1,R2)")(
         "tr(M,R3)", "tr(N,R4)", "add_M(R3,R4,R2)"),
-    tgd("tr-add-rev")("tr(M,R3)", "tr(N,R4)", "add_M(R3,R4,R2)")(
-        "add_M(M,N,R1)", "tr(R1,R2)"),
     tgd("tr-minus")("minus_M(M,N,R1)", "tr(R1,R2)")(
         "tr(M,R3)", "tr(N,R4)", "minus_M(R3,R4,R2)"),
     // (cM)ᵀ = cMᵀ
-    tgd("tr-smul")("multi_MS(c,M,R1)", "tr(R1,R2)")(
+    eqv("tr-smul", "tr-smul-rev")("multi_MS(c,M,R1)", "tr(R1,R2)")(
         "tr(M,R3)", "multi_MS(c,R3,R2)"),
-    tgd("tr-smul-rev")("tr(M,R3)", "multi_MS(c,R3,R2)")(
-        "multi_MS(c,M,R1)", "tr(R1,R2)"),
     // (M⊙N)ᵀ = Mᵀ⊙Nᵀ
     tgd("tr-had")("multi_E(M,N,R1)", "tr(R1,R2)")(
         "tr(M,R3)", "tr(N,R4)", "multi_E(R3,R4,R2)"),
@@ -99,16 +88,13 @@ object Catalog {
   )
 
   // ----------------------------------------------------------------- inverses
-  val inverses: Seq[Constraint] = Seq(
+  val inverses: Seq[Constraint] = rows(
     // (M⁻¹)⁻¹ = M (involution over the invertible domain the paper assumes).
     tgd("inv-invol")("inv_M(M,R)")("inv_M(R,M)"),
     // (MN)⁻¹ = N⁻¹M⁻¹
-    tgd("inv-mul")("multi_M(M,N,R1)", "inv_M(R1,R2)")(
+    eqv("inv-mul", "inv-mul-rev")("multi_M(M,N,R1)", "inv_M(R1,R2)")(
         "inv_M(M,R3)", "inv_M(N,R4)", "multi_M(R4,R3,R2)"),
-    tgd("inv-mul-rev")("inv_M(M,R3)", "inv_M(N,R4)", "multi_M(R4,R3,R2)")(
-        "multi_M(M,N,R1)", "inv_M(R1,R2)"),
-    // (Mᵀ)⁻¹ = (M⁻¹)ᵀ
-    tgd("inv-tr")("tr(M,R1)", "inv_M(R1,R2)")("inv_M(M,R3)", "tr(R3,R2)"),
+    // (M⁻¹)ᵀ = (Mᵀ)⁻¹; the other direction follows with the involutions.
     tgd("inv-tr-rev")("inv_M(M,R3)", "tr(R3,R2)")("tr(M,R1)", "inv_M(R1,R2)"),
     // (kM)⁻¹ = k⁻¹M⁻¹
     tgd("inv-smul")("multi_MS(k,M,R1)", "inv_M(R1,R2)")(
@@ -140,9 +126,8 @@ object Catalog {
   )
 
   // -------------------------------------------------------- exponential & misc
-  val misc: Seq[Constraint] = Seq(
-    tgd("exp-tr")("tr(M,R1)", "exp(R1,R2)")("exp(M,R3)", "tr(R3,R2)"),
-    tgd("exp-tr-rev")("exp(M,R3)", "tr(R3,R2)")("tr(M,R1)", "exp(R1,R2)"),
+  val misc: Seq[Constraint] = rows(
+    eqv("exp-tr", "exp-tr-rev")("tr(M,R1)", "exp(R1,R2)")("exp(M,R3)", "tr(R3,R2)"),
     tgd("smul-comm")("multi_S(a,b,c)")("multi_S(b,a,c)"),
     tgd("sadd-comm")("add_S(a,b,c)")("add_S(b,a,c)"),
   )
@@ -152,34 +137,25 @@ object Catalog {
     addition ++ product ++ transposition ++ inverses ++ determinant ++ trace ++ misc
 
   // --------------------------------------------- SystemML rules (Table 11)
-  val statAgg: Seq[Constraint] = Seq(
+  val statAgg: Seq[Constraint] = rows(
     // Unnecessary aggregates.
     tgd("sum-tr")("tr(M,R1)", "sum(R1,s)")("sum(M,s)"),
     tgd("sum-rowSums")("rowSums(M,R1)", "sum(R1,s)")("sum(M,s)"),
     tgd("sum-colSums")("colSums(M,R1)", "sum(R1,s)")("sum(M,s)"),
     // pushdownUnaryAggTransposeOp.
-    tgd("rowSums-tr")("tr(M,R1)", "rowSums(R1,R2)")("colSums(M,R3)", "tr(R3,R2)"),
-    tgd("rowSums-tr-rev")("colSums(M,R3)", "tr(R3,R2)")("tr(M,R1)", "rowSums(R1,R2)"),
-    tgd("colSums-tr")("tr(M,R1)", "colSums(R1,R2)")("rowSums(M,R3)", "tr(R3,R2)"),
-    tgd("colSums-tr-rev")("rowSums(M,R3)", "tr(R3,R2)")("tr(M,R1)", "colSums(R1,R2)"),
+    eqv("rowSums-tr", "rowSums-tr-rev")("tr(M,R1)", "rowSums(R1,R2)")("colSums(M,R3)", "tr(R3,R2)"),
+    eqv("colSums-tr", "colSums-tr-rev")("tr(M,R1)", "colSums(R1,R2)")("rowSums(M,R3)", "tr(R3,R2)"),
     // simplifyTraceMatrixMult: trace(MN) = sum(M ⊙ Nᵀ).
     tgd("trace-mul-had")("multi_M(M,N,R1)", "trace(R1,s)")(
         "tr(N,R2)", "multi_E(M,R2,R3)", "sum(R3,s)"),
     // simplifySumMatrixMult: sum(MN) = sum(colSums(M)ᵀ ⊙ rowSums(N)).
-    tgd("sum-mul")("multi_M(M,N,R1)", "sum(R1,s)")(
+    eqv("sum-mul", "sum-mul-rev")("multi_M(M,N,R1)", "sum(R1,s)")(
         "colSums(M,R2)", "tr(R2,R3)", "rowSums(N,R4)", "multi_E(R3,R4,R5)", "sum(R5,s)"),
-    tgd("sum-mul-rev")(
-        "colSums(M,R2)", "tr(R2,R3)", "rowSums(N,R4)", "multi_E(R3,R4,R5)", "sum(R5,s)")(
-        "multi_M(M,N,R1)", "sum(R1,s)"),
     // colSums(MN) = colSums(M)N ; rowSums(MN) = M rowSums(N).
-    tgd("colSums-mul")("multi_M(M,N,R1)", "colSums(R1,R2)")(
+    eqv("colSums-mul", "colSums-mul-rev")("multi_M(M,N,R1)", "colSums(R1,R2)")(
         "colSums(M,R3)", "multi_M(R3,N,R2)"),
-    tgd("colSums-mul-rev")("colSums(M,R3)", "multi_M(R3,N,R2)")(
-        "multi_M(M,N,R1)", "colSums(R1,R2)"),
-    tgd("rowSums-mul")("multi_M(M,N,R1)", "rowSums(R1,R2)")(
+    eqv("rowSums-mul", "rowSums-mul-rev")("multi_M(M,N,R1)", "rowSums(R1,R2)")(
         "rowSums(N,R3)", "multi_M(M,R3,R2)"),
-    tgd("rowSums-mul-rev")("rowSums(N,R3)", "multi_M(M,R3,R2)")(
-        "multi_M(M,N,R1)", "rowSums(R1,R2)"),
     // pushdownSumOnAdd: sum(M+N) = sum(M)+sum(N).
     tgd("sum-add")("add_M(M,N,R1)", "sum(R1,s)")(
         "sum(M,s1)", "sum(N,s2)", "add_S(s1,s2,s)"),
@@ -197,7 +173,7 @@ object Catalog {
   // in the default set.
   val cholesky: Seq[Constraint] = Seq(
     tgd("cho-def")("type(M,\"S\")")(
-        "cho(M,L1)", "type(L1,\"L\")", "tr(L1,L2)", "multi_M(L1,L2,M)").noPrune,
+        "cho(M,L1)", "type(L1,\"L\")", "tr(L1,L2)", "multi_M(L1,L2,M)"),
   )
 
   // QR/LU fire on *every* named square matrix (their premise is just
@@ -206,13 +182,13 @@ object Catalog {
   val qrlu: Seq[Constraint] = Seq(
     // QR over square matrices, with the fixed-point rules (6)–(9).
     tgd("qr-def")("name(M,n)", "size(M,k,k)")(
-        "QR(M,Q,R)", "type(Q,\"O\")", "type(R,\"U\")", "multi_M(Q,R,M)").noPrune,
+        "QR(M,Q,R)", "type(Q,\"O\")", "type(R,\"U\")", "multi_M(Q,R,M)"),
     tgd("qr-orth")("type(Q,\"O\")")("QR(Q,Q,I)", "Identity(I)", "multi_M(Q,I,Q)"),
     tgd("qr-upper")("type(R,\"U\")")("QR(R,I,R)", "Identity(I)", "multi_M(I,R,R)"),
     tgd("qr-identity")("Identity(I)")("QR(I,I,I)"),
     // LU over square matrices, with its fixed-point rules.
     tgd("lu-def")("name(M,n)", "size(M,k,k)")(
-        "LU(M,L,U)", "type(L,\"L\")", "type(U,\"U\")", "multi_M(L,U,M)").noPrune,
+        "LU(M,L,U)", "type(L,\"L\")", "type(U,\"U\")", "multi_M(L,U,M)"),
     tgd("lu-lower")("type(L,\"L\")")("LU(L,L,I)", "Identity(I)", "multi_M(L,I,L)"),
     tgd("lu-upper")("type(U,\"U\")")("LU(U,I,U)", "Identity(I)", "multi_M(I,U,U)"),
     tgd("lu-identity")("Identity(I)")("LU(I,I,I)"),
@@ -221,14 +197,11 @@ object Catalog {
     egd("zero-unique")("Zero(O1)", "size(O1,k,z)", "Zero(O2)", "size(O2,k,z)")("O1=O2"),
   )
 
-  /** Full Table-10 set (for decomposition-focused workloads/tests). */
-  val decompositions: Seq[Constraint] = cholesky ++ qrlu
-
   // --------------------------------------- Morpheus factorized rules (§9.2)
   // A PK-FK-joined matrix M = cbind(S, K·R) is declared by a `norm` fact;
   // pushdown rules are cbind distribution laws.
   val morpheus: Seq[Constraint] = Seq(
-    tgd("norm-def")("norm(M,S,K,R)")("multi_M(K,R,P)", "cbind(S,P,M)").noPrune,
+    tgd("norm-def")("norm(M,S,K,R)")("multi_M(K,R,P)", "cbind(S,P,M)"),
     tgd("cbind-rowSums")("cbind(A,B,R1)", "rowSums(R1,R2)")(
         "rowSums(A,Ra)", "rowSums(B,Rb)", "add_M(Ra,Rb,R2)"),
     tgd("cbind-colSums")("cbind(A,B,R1)", "colSums(R1,R2)")(
@@ -238,8 +211,6 @@ object Catalog {
     // C · cbind(A,B) = cbind(CA, CB).
     tgd("cbind-lmul")("cbind(A,B,R1)", "multi_M(C,R1,R2)")(
         "multi_M(C,A,Ra)", "multi_M(C,B,Rb)", "cbind(Ra,Rb,R2)"),
-    tgd("cbind-tr-rowSums")("cbind(A,B,R1)", "tr(R1,R2)", "rowSums(R2,R3)")(
-        "colSums(R1,R4)", "tr(R4,R3)"),
   )
 
   /** The default knowledge base (QR/LU are opt-in, see [[qrlu]]). */

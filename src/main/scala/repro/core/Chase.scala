@@ -365,8 +365,11 @@ object Chase {
           .foreach(inst.setMeta(idOf(a, a.ctor.resultPos), _))
 
       // Prune_prov: skip the whole step if some intermediate it introduces is
-      // already more expensive than the best-known complete rewriting.
-      val tooExpensive = t.pruneable &&
+      // already more expensive than the best-known complete rewriting. A rule
+      // with no constructor atom in its premise (Cholesky, QR/LU, Morpheus
+      // `norm`) is definitional: it states the structure of existing data, not
+      // an evaluation alternative, so it is never pruned.
+      val tooExpensive = c.premise.exists(_.ctor != null) &&
         ctors.exists(a => inst.meta(idOf(a, a.ctor.resultPos)).exists(_.nnz > threshold))
       if (tooExpensive) return -1
 

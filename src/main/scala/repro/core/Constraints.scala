@@ -17,8 +17,7 @@ final case class PatAtom(rel: String, args: Vector[String]) {
   override def toString: String = s"$rel(${args.mkString(",")})"
 }
 
-final case class TGD(name: String, premise: Vector[PatAtom], conclusion: Vector[PatAtom],
-                     pruneable: Boolean = true)
+final case class TGD(name: String, premise: Vector[PatAtom], conclusion: Vector[PatAtom])
     extends Constraint {
   val premiseVars: Set[String]    = premise.flatMap(_.vars).toSet
   val existentials: Set[String]   = conclusion.flatMap(_.vars).toSet -- premiseVars
@@ -35,13 +34,6 @@ final case class TGD(name: String, premise: Vector[PatAtom], conclusion: Vector[
     * existentials' slots, in `existentials` order.
     */
   private[core] lazy val compiled: Chase.Compiled = Chase.compile(premise, conclusion, existentials.toSeq)
-
-  /** Definitional rules (decompositions, Morpheus norm facts) declare the
-    * *structure* of existing data rather than an evaluation alternative —
-    * their conclusions are glue for further reasoning, never plan nodes the
-    * rewriting executes, so Prune_prov must not block them.
-    */
-  def noPrune: TGD = copy(pruneable = false)
 }
 
 /** Premise match implies `left = right` (both must be premise variables). */
@@ -93,6 +85,12 @@ object Constraints {
 
   def tgd(name: String)(premise: String*)(conclusion: String*): TGD =
     TGD(name, premise.map(atom).toVector, conclusion.map(atom).toVector)
+
+  /** An equivalence the search traverses both ways: the TGD `lhs → rhs`
+    * named `name`, then its exact swap `rhs → lhs` named `revName`.
+    */
+  def eqv(name: String, revName: String)(lhs: String*)(rhs: String*): Seq[TGD] =
+    Seq(tgd(name)(lhs: _*)(rhs: _*), tgd(revName)(rhs: _*)(lhs: _*))
 
   /** `eq` is of the form `"X=Y"`. */
   def egd(name: String)(premise: String*)(eq: String): EGD = {

@@ -1,7 +1,7 @@
 package repro.core
 
 import org.scalatest.funsuite.AnyFunSuite
-import Constraints.{atom, egd, tgd}
+import Constraints.{atom, egd, eqv, tgd}
 
 /** The constraint DSL: parsing, arity checks, variable classification. */
 class ConstraintsSpec extends AnyFunSuite {
@@ -55,10 +55,38 @@ class ConstraintsSpec extends AnyFunSuite {
     assert(ok.left == "M" && ok.right == "N")
   }
 
-  test("noPrune marks a TGD as definitional") {
-    val t = tgd("t")("type(M,\"S\")")("cho(M,L)")
-    assert(t.pruneable)
-    assert(!t.noPrune.pruneable)
+  test("Prune_prov exempts a TGD with no constructor premise") {
+    // M (4x4) carries a name, a size, a type, a norm and a transpose fact;
+    // each rule's step adds a 4x4 intermediate, above the threshold 0.5.
+    def stats(t: TGD): Chase.Stats = {
+      val i    = new Instance(NaiveEstimator)
+      val meta = Map("M" -> Meta.dense(4, 4))
+      val m    = Encoder.leafMat(i, "M", meta.get)
+      i.addFact("type", Vector(m, i.const("S")))
+      i.addFact("norm", Vector(m, i.fresh(), i.fresh(), i.fresh()))
+      Encoder.encode(i, T(Mat("M")), meta.get)
+      Chase.run(i, Seq(t), maxRounds = 1, maxFacts = 1000, threshold = 0.5, deadlineMillis = 15000)
+    }
+    for (p <- Seq("type(M,\"S\")", "name(M,n)", "size(M,k,z)", "norm(M,S,K,R)")) {
+      val st = stats(tgd("t")(p)("cho(M,L)"))
+      assert(st.prunedSteps == 0 && st.facts > 6, p)
+    }
+    assert(stats(tgd("t")("tr(M,R)")("cho(M,L)")).prunedSteps == 1)
+    // In the catalog, these are the definitional rules.
+    val definitional = (Catalog.all ++ Catalog.qrlu).collect {
+      case t: TGD if !t.premise.exists(a => VREM.ctors.contains(a.rel)) => t.name
+    }
+    assert(definitional == Seq("cho-def", "norm-def", "qr-def", "qr-orth", "qr-upper",
+                               "qr-identity", "lu-def", "lu-lower", "lu-upper", "lu-identity"))
+  }
+
+  test("eqv states an equivalence as its TGD and the exact swap, in that order") {
+    val lhs = Seq("add_M(N,D,R1)", "multi_M(M,R1,R2)")
+    val rhs = Seq("multi_M(M,N,R3)", "multi_M(M,D,R4)", "add_M(R3,R4,R2)")
+    val Seq(fwd, rev) = eqv("dist", "factor")(lhs: _*)(rhs: _*)
+    assert(fwd == tgd("dist")(lhs: _*)(rhs: _*))
+    assert(rev == TGD("factor", fwd.conclusion, fwd.premise))
+    assert(fwd.existentials == Set("R3", "R4") && rev.existentials == Set("R1"))
   }
 
   test("the full catalog parses and is well-formed") {
@@ -69,7 +97,7 @@ class ConstraintsSpec extends AnyFunSuite {
       case e: EGD => assert(e.premise.nonEmpty, e.name)
     }
     // Names are unique (byName lookups stay unambiguous).
-    val names = Catalog.all.map(_.name)
+    val names = all.map(_.name)
     assert(names.distinct.size == names.size)
   }
 
