@@ -8,19 +8,55 @@ import repro.core.{Hist, Meta}
 
 /** A matrix distributed as a coordinate-format DataFrame with schema
   * `(i: Long, j: Long, v: Double)` (0-based), plus logical dimensions.
-  * Zero cells are not stored; duplicate (i,j) pairs are not allowed.
+  * Duplicate (i,j) pairs are not allowed.
+  *
+  * A stored cell may hold 0: the kernels decide which cells they store, not
+  * the values. `Ops.add`/`subtract` store the union of their operands'
+  * cells and `multiply` every (i,j) with some k where both operands are
+  * stored, even where the values cancel; `hadamard`/`divide` store the
+  * intersection; `scalarMul` keeps its operand's cells, even for c = 0;
+  * `rowSums`/`colSums` store the rows or columns that have a stored cell;
+  * `transpose`, `diag` and `cbind` move their operand's cells.
+  * `fromBreeze` is the one place that drops zeros, so `lift`, `inverse`,
+  * `choleskyL` and `expElem` store their non-zero values. `nnz`, which
+  * `Exec.Step.cells` records, counts the stored cells.
   *
   * This is the execution substrate standing in for the paper's LA backends:
   * every `L_ops` operation is implemented over it with DataFrame joins and
   * aggregations (Catalyst plans), except inverse/determinant/Cholesky/
   * element-exp which gather to a local Breeze matrix (they are not
   * data-parallel-friendly and the paper's backends also run them locally).
+  * A matrix also has a driver-memory copy, [[LocalCOO]], with the same
+  * stored cells: the copy it was built from, or the one `local` collects
+  * once and keeps.
   */
-final case class COOMatrix(df: DataFrame, rows: Long, cols: Long) {
+final class COOMatrix private (val spark: SparkSession, val rows: Long, val cols: Long,
+                               build: () => DataFrame, @volatile private var memo: LocalCOO) {
 
-  def spark: SparkSession = df.sparkSession
+  /** The stored cells; a matrix built from a local copy makes them a
+    * DataFrame on first use, with no Spark job.
+    */
+  lazy val df: DataFrame = build()
 
-  def nnz: Long = df.count()
+  /** Stored cells: the local copy's count when there is one, else a Spark job. */
+  def nnz: Long = { val l = memo; if (l != null) l.nnz else df.count() }
+
+  /** Whether the local copy is at hand, so reading it runs no Spark job. */
+  def isLocal: Boolean = memo != null
+
+  /** This matrix in driver memory: the copy it was built from, or else its
+    * cells collected once and kept on this instance.
+    */
+  def local: LocalCOO = {
+    if (memo == null) synchronized {
+      if (memo == null) {
+        require(cells <= COOMatrix.MaxLocalCells, s"refusing to densify ${rows}x$cols locally")
+        memo = LocalCOO.of(rows.toInt, cols.toInt,
+          df.collect().map(r => (r.getLong(0).toInt, r.getLong(1).toInt, r.getDouble(2))))
+      }
+    }
+    memo
+  }
 
   def cells: Long = rows * cols
 
@@ -39,7 +75,7 @@ final case class COOMatrix(df: DataFrame, rows: Long, cols: Long) {
   }
 
   /** Gather into a dense Breeze matrix (guarded; local ops only). */
-  def toBreeze(maxCells: Long = 8_000_000L): DenseMatrix[Double] = {
+  def toBreeze(maxCells: Long = COOMatrix.MaxLocalCells): DenseMatrix[Double] = {
     require(cells <= maxCells, s"refusing to densify ${rows}x$cols locally")
     val m = DenseMatrix.zeros[Double](rows.toInt, cols.toInt)
     df.collect().foreach(r => m(r.getLong(0).toInt, r.getLong(1).toInt) = r.getDouble(2))
@@ -49,6 +85,9 @@ final case class COOMatrix(df: DataFrame, rows: Long, cols: Long) {
 
 object COOMatrix {
 
+  /** Largest matrix, in cells, that is densified in driver memory. */
+  val MaxLocalCells: Long = 8_000_000L
+
   val schema: StructType = StructType(Seq(
     StructField("i", LongType, nullable = false),
     StructField("j", LongType, nullable = false),
@@ -56,24 +95,28 @@ object COOMatrix {
   ))
 
   /** Distribute a local dense matrix, dropping (near-)zero cells. */
-  def fromBreeze(spark: SparkSession, m: DenseMatrix[Double], eps: Double = 0.0): COOMatrix = {
-    val entries = for {
-      i <- 0 until m.rows
-      j <- 0 until m.cols
-      if math.abs(m(i, j)) > eps
-    } yield Row(i.toLong, j.toLong, m(i, j))
-    val df = spark.createDataFrame(
-      spark.sparkContext.parallelize(entries, math.max(1, entries.size / 250000 + 1)), schema)
-    COOMatrix(df, m.rows.toLong, m.cols.toLong)
+  def fromBreeze(spark: SparkSession, m: DenseMatrix[Double], eps: Double = 0.0): COOMatrix =
+    fromLocal(spark, LocalCOO.fromBreeze(m, eps))
+
+  /** The stored cells of `l` as a matrix that keeps `l`; its DataFrame is
+    * made on first use, with no Spark job.
+    */
+  def fromLocal(spark: SparkSession, l: LocalCOO): COOMatrix = {
+    def distribute(): DataFrame = {
+      val entries = l.entries.map { case (i, j, v) => Row(i.toLong, j.toLong, v) }
+      spark.createDataFrame(
+        spark.sparkContext.parallelize(entries, math.max(1, entries.size / 250000 + 1)), schema)
+    }
+    new COOMatrix(spark, l.rows.toLong, l.cols.toLong, () => distribute(), l)
   }
 
   /** Wrap a DataFrame (columns are selected/cast to the COO schema). */
-  def apply(df: DataFrame, rows: Long, cols: Long): COOMatrix =
-    new COOMatrix(
-      df.select(col("i").cast(LongType) as "i",
-                col("j").cast(LongType) as "j",
-                col("v").cast(DoubleType) as "v"),
-      rows, cols)
+  def apply(df: DataFrame, rows: Long, cols: Long): COOMatrix = {
+    val coo = df.select(col("i").cast(LongType) as "i",
+                        col("j").cast(LongType) as "j",
+                        col("v").cast(DoubleType) as "v")
+    new COOMatrix(df.sparkSession, rows, cols, () => coo, null)
+  }
 }
 
 /** Synthetic matrix generators at the scaled-down profiles of the paper's

@@ -1,21 +1,27 @@
 package repro.matrix
 
+import breeze.linalg.DenseMatrix
 import repro.SparkSpec
 import repro.core._
+import repro.core.Rewriter.View
+import repro.hybrid.HybridQueries
 import repro.matrix.Exec.{EVal, MatV, ScaV}
 
 /** The distributed as-stated executor agrees with the local dense executor
   * on whole pipelines, and its materialization stats reflect intermediate
-  * sizes (the quantity HADAD optimizes).
+  * sizes (the quantity HADAD optimizes). Operator placement changes neither
+  * the steps nor the values: each plan runs all on Spark, all in driver
+  * memory, and split between the two.
   */
 class ExecSpec extends SparkSpec {
 
-  private lazy val envB: Map[String, breeze.linalg.DenseMatrix[Double]] = Map(
+  private lazy val envB: Map[String, DenseMatrix[Double]] = Map(
     "M" -> LocalExec.rand(24, 6, 1),
     "N" -> LocalExec.rand(6, 24, 2),
     "C" -> LocalExec.randSPD(8, 3),
     "D" -> LocalExec.randSPD(8, 4),
     "v" -> LocalExec.rand(6, 1, 5),
+    "P" -> LocalExec.randSparse(24, 6, 0.3, 6),
   )
   private lazy val envSpark: Exec.Env =
     envB.map { case (n, m) => n -> (MatV(COOMatrix.fromBreeze(spark, m)): EVal) } + ("s1" -> ScaV(1.7))
@@ -28,8 +34,9 @@ class ExecSpec extends SparkSpec {
     case _       => Nil
   }
 
+  /** The Spark kernels against the oracle: every data-parallel node placed on Spark. */
   private def check(e: Expr, tol: Double): Unit = {
-    val run = Exec.run(e, envSpark)
+    val run = Exec.run(e, envSpark, _ => false)
     val exp = LocalExec.eval(e, envLocal)
     val d = (run.value, exp) match {
       case (ScaV(x), LocalExec.LSca(y)) => math.abs(x - y)
@@ -41,7 +48,7 @@ class ExecSpec extends SparkSpec {
     assert(run.steps.map(_.op) == nodes(e).map(_.rel), e.render)
   }
 
-  private val (m, n, c, d, v) = (Mat("M"), Mat("N"), Mat("C"), Mat("D"), Mat("v"))
+  private val (m, n, c, d, v, p) = (Mat("M"), Mat("N"), Mat("C"), Mat("D"), Mat("v"), Mat("P"))
   private def tight(es: Expr*): Seq[(Expr, Double)] = es.map(_ -> 1e-8)
 
   /** Exec-vs-LocalExec agreement cases: name, then each pipeline with its tolerance. */
@@ -89,5 +96,124 @@ class ExecSpec extends SparkSpec {
   test("scalar results surface through Result.scalar") {
     val r = Exec.run(Sum(m), envSpark)
     assert(math.abs(r.scalar - breeze.linalg.sum(envB("M"))) < 1e-8)
+  }
+
+  // Placement: each kernel call runs in driver memory or on Spark by its work.
+
+  private type Place = Double => Boolean
+
+  /** Spark values with no local copy, so that a local node must collect them. */
+  private def cold(ms: Map[String, DenseMatrix[Double]]): Exec.Env = ms.map { case (name, x) =>
+    name -> (MatV(COOMatrix(COOMatrix.fromBreeze(spark, x).df, x.rows.toLong, x.cols.toLong)): EVal)
+  }
+
+  /** The views, then `e`, each run under `place`: every run's steps and `e`'s value. */
+  private def runWith(e: Expr, views: Seq[View], env: Exec.Env, place: Place): (Vector[Exec.Step], EVal) = {
+    val (full, viewSteps) = views.foldLeft((env, Vector.empty[Exec.Step])) { case ((en, st), view) =>
+      val r = Exec.run(view.body, en, place)
+      (en + (view.name -> r.value), st ++ r.steps)
+    }
+    val r = Exec.run(e, full, place)
+    (viewSteps ++ r.steps, r.value)
+  }
+
+  private def asBreeze(x: EVal): DenseMatrix[Double] = x.fold(DenseMatrix.fill(1, 1)(_), _.toBreeze())
+
+  /** Runs `e` (after `views`) all on Spark, all local, split at the lower
+    * median of its kernels' works, and alternating call by call; asserts the
+    * same steps (op and cells), the same non-finite cells, and finite values
+    * within `tol`, relative to the largest finite magnitude. Returns whether
+    * the split put work on both sides.
+    */
+  private def crossCheck(label: String, e: Expr, views: Seq[View], env: () => Exec.Env,
+                         tol: Double): Boolean = {
+    val works = scala.collection.mutable.ArrayBuffer[Double]()
+    val (steps0, v0) = runWith(e, views, env(), { w => works += w; false })
+    val ws    = works.distinct.sorted
+    // A plan of Breeze-only kernels (det(C)·det(D)) places nothing, so any bound does.
+    val bound = if (ws.isEmpty) 0.0 else ws((ws.size - 1) / 2)
+    var calls = 0
+    val others: Seq[(String, Place)] = Seq(
+      "all local"     -> (_ => true),
+      s"work <= $bound" -> (_ <= bound),
+      "alternating"   -> { _ => calls += 1; calls % 2 == 0 },
+    )
+    val expected = asBreeze(v0)
+    val finite   = expected.toArray.filter(x => !x.isNaN && !x.isInfinite)
+    val scale    = (1.0 +: finite.map(math.abs)).max
+    for ((name, place) <- others) {
+      val (steps, v1) = runWith(e, views, env(), place)
+      assert(steps == steps0, s"$label [$name]: steps differ from all-Spark's")
+      assert(v0.fold(_ => "scalar", _ => "matrix") == v1.fold(_ => "scalar", _ => "matrix"), label)
+      val got = asBreeze(v1)
+      assert(got.rows == expected.rows && got.cols == expected.cols, s"$label [$name]: shape")
+      for (i <- 0 until got.rows; j <- 0 until got.cols) {
+        val (x, y) = (got(i, j), expected(i, j))
+        if (y.isNaN || y.isInfinite) assert(x.equals(y), s"$label [$name]: ($i,$j) is $x, not $y")
+        else assert(math.abs(x - y) <= tol * scale, s"$label [$name]: ($i,$j) is $x, not $y (scale $scale)")
+      }
+    }
+    ws.size > 1
+  }
+
+  /** Stored cells whose values are 0: the local side must keep them as COO does. */
+  private val storedZeros: Seq[Expr] = Seq(
+    Sub(m, m), ScaMul(Lit(0.0), m), Div(m, p), Mul(Sub(m, m), n), RowSums(Sub(m, m)),
+    Add(p, ScaMul(Lit(-1.0), p)), Had(m, p), T(Diag(Mul(n, Sub(m, m)))), CBind(p, ScaMul(Lit(0.0), p)),
+  )
+
+  test("every agreement case gives the same steps and values under any placement") {
+    for ((name, cases) <- agreement; (e, tol) <- cases)
+      crossCheck(s"$name: ${e.render}", e, Nil, () => cold(envB) + ("s1" -> ScaV(1.7)), tol)
+  }
+
+  test("a stored ±Inf pairs only with stored cells under any placement") {
+    // exp(1000·M) overflows to +Inf in some cells; t(P) leaves rows of a
+    // product's k unstored, which the COO join never pairs.
+    val big = Mul(Exp(ScaMul(Lit(1000.0), m)), T(p))
+    assert(crossCheck(big.render, big, Nil, () => cold(envB), 1e-12))
+    val inf = Map("A" -> DenseMatrix((Double.PositiveInfinity, 1.0)),
+                  "B" -> DenseMatrix((0.0, 5.0), (2.0, 3.0)))
+    for (place <- Seq[Place](_ => false, _ => true)) {
+      val got = asBreeze(Exec.run(Mul(Mat("A"), Mat("B")), cold(inf), place).value)
+      assert(got(0, 0) == 2.0 && got(0, 1) == Double.PositiveInfinity, got.toString)
+    }
+  }
+
+  test("stored zeros count as cells under any placement") {
+    for (e <- storedZeros) crossCheck(e.render, e, Nil, () => cold(envB), 1e-12)
+    val r = Exec.run(Sub(m, m), cold(envB))
+    assert(r.steps == Vector(Exec.Step("minus_M", 24 * 6)) && r.value.fold(_ => false, _.isLocal))
+  }
+
+  test("Q1-Q10, original and paper rewriting with their views, under any placement") {
+    val shape = HybridQueries.Shape(nT = 40, h = 10, k = 16)
+    val split = for {
+      (q, original, paper) <- HybridQueries.queries
+      (form, e)            <- Seq("original" -> original, "paper" -> paper)
+    } yield {
+      val views = HybridQueries.views(q)
+      val leaves = shape.meta(q).filter { case (name, _) => !views.exists(_.name == name) }
+      val env = leaves.map { case (name, mm) =>
+        val seed = 31L + name.hashCode
+        name -> (if (mm.sparsity < 0.5) LocalExec.randSparse(mm.rows.toInt, mm.cols.toInt, 0.3, seed)
+                 else LocalExec.rand(mm.rows.toInt, mm.cols.toInt, seed))
+      }
+      crossCheck(s"$q $form: ${e.render}", e, views, () => cold(env), 1e-9)
+    }
+    assert(split.forall(identity), "a split bound left some query's nodes all on one side")
+  }
+
+  test("default placement keeps small results local; a cold leaf is collected once") {
+    val env = cold(envB)
+    val leaf = env("M").fold(_ => fail("M is a matrix"), identity)
+    assert(!leaf.isLocal)
+    val out = Exec.run(Mul(m, n), env).value.fold(_ => fail("M·N is a matrix"), identity)
+    assert(out.isLocal && leaf.isLocal)
+    val copy = leaf.local
+    Exec.run(Add(m, m), env)
+    assert(leaf.local eq copy)
+    assert(out.df.count() == out.nnz && out.nnz == 24 * 24)
+    assert(Exec.run(Mul(m, n), env, _ => false).value.fold(_ => true, _.isLocal) == false)
   }
 }
