@@ -95,14 +95,12 @@ object Harness {
   /** Run one pipeline: HADAD rewrite, then both forms on the executor. */
   def run(table: String, id: String, e: Expr, meta: Map[String, Meta],
           env: Exec.Env, views: Seq[View] = Nil,
-          estimator: () => Estimator = () => NaiveEstimator,
-          explicitRewrite: Option[Expr] = None): Row = {
+          estimator: () => Estimator = () => NaiveEstimator): Row = {
     val r = Rewriter.rewrite(e, meta, views, Rewriter.Config(estimator = estimator))
-    val chosen = explicitRewrite.getOrElse(r.chosen)
     val orig = Exec.run(e, env)
-    val rw   = Exec.run(chosen, env)
+    val rw   = Exec.run(r.chosen, env)
     sanity(id, orig, rw)
-    Row(table, id, chosen.render, orig.totalCells, rw.totalCells,
+    Row(table, id, r.chosen.render, orig.totalCells, rw.totalCells,
         orig.wallMillis, rw.wallMillis, r.findMillis)
   }
 }

@@ -7,9 +7,9 @@ import repro.morpheus.NormalizedMatrix
 import repro.hybrid.{HybridData, HybridQueries, ViewSubstitution}
 
 /** One runner per reproduced evaluation table (see DESIGN.md §5 and
-  * EXPERIMENTS.md). Benches invoke these from `bench/test`; the `jobs/`
-  * mains invoke them under spark-submit. All dims are scaled-down versions
-  * of the paper's with the same proportions, so the same rewrites win.
+  * EXPERIMENTS.md). Benches invoke these from `bench/test`. All dims are
+  * scaled-down versions of the paper's with the same proportions, so the
+  * same rewrites win.
   */
 object Tables {
 

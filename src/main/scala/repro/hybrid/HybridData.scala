@@ -129,9 +129,8 @@ object HybridData {
   }
 
   /** N: patient-service outcome matrix for one care unit. */
-  def mimicN(m: Mimic, careunit: String, calloutSource: DataFrame = null): COOMatrix = {
-    val src = Option(calloutSource).getOrElse(m.callout)
-    val df = src.filter(col("careunit") === careunit)
+  def mimicN(m: Mimic, careunit: String): COOMatrix = {
+    val df = m.callout.filter(col("careunit") === careunit)
       .join(m.services.select("s_id"), "s_id")
       .select(col("p_id") as "i", col("s_id") as "j", col("outcome") as "v")
     COOMatrix(df, m.nPatients, m.nServices)

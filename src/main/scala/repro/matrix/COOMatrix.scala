@@ -17,14 +17,14 @@ import repro.core.{Hist, Meta}
   * intersection; `scalarMul` keeps its operand's cells, even for c = 0;
   * `rowSums`/`colSums` store the rows or columns that have a stored cell;
   * `transpose`, `diag` and `cbind` move their operand's cells.
-  * `fromBreeze` is the one place that drops zeros, so `lift`, `inverse`,
-  * `choleskyL` and `expElem` store their non-zero values. `nnz`, which
-  * `Exec.Step.cells` records, counts the stored cells.
+  * `fromBreeze` is the one place that drops zeros, so `LocalCOO`'s `lift`,
+  * `inverse`, `choleskyL` and `expElem` store their non-zero values. `nnz`,
+  * which `Exec.Step.cells` records, counts the stored cells.
   *
   * This is the execution substrate standing in for the paper's LA backends:
-  * every `L_ops` operation is implemented over it with DataFrame joins and
-  * aggregations (Catalyst plans), except inverse/determinant/Cholesky/
-  * element-exp which gather to a local Breeze matrix (they are not
+  * the data-parallel `L_ops` operations run over it as DataFrame joins and
+  * aggregations (Catalyst plans, [[Ops]]), except inverse/determinant/
+  * Cholesky/element-exp, which run in Breeze on the local copy (they are not
   * data-parallel-friendly and the paper's backends also run them locally).
   * A matrix also has a driver-memory copy, [[LocalCOO]], with the same
   * stored cells: the copy it was built from, or the one `local` collects
@@ -73,14 +73,6 @@ final class COOMatrix private (val spark: SparkSession, val rows: Long, val cols
     }
     Meta(rows, cols, n.toDouble, hist)
   }
-
-  /** Gather into a dense Breeze matrix (guarded; local ops only). */
-  def toBreeze(maxCells: Long = COOMatrix.MaxLocalCells): DenseMatrix[Double] = {
-    require(cells <= maxCells, s"refusing to densify ${rows}x$cols locally")
-    val m = DenseMatrix.zeros[Double](rows.toInt, cols.toInt)
-    df.collect().foreach(r => m(r.getLong(0).toInt, r.getLong(1).toInt) = r.getDouble(2))
-    m
-  }
 }
 
 object COOMatrix {
@@ -94,9 +86,9 @@ object COOMatrix {
     StructField("v", DoubleType, nullable = false),
   ))
 
-  /** Distribute a local dense matrix, dropping (near-)zero cells. */
-  def fromBreeze(spark: SparkSession, m: DenseMatrix[Double], eps: Double = 0.0): COOMatrix =
-    fromLocal(spark, LocalCOO.fromBreeze(m, eps))
+  /** Distribute a local dense matrix, dropping zero cells. */
+  def fromBreeze(spark: SparkSession, m: DenseMatrix[Double]): COOMatrix =
+    fromLocal(spark, LocalCOO.fromBreeze(m))
 
   /** The stored cells of `l` as a matrix that keeps `l`; its DataFrame is
     * made on first use, with no Spark job.

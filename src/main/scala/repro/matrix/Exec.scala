@@ -28,8 +28,8 @@ object Exec {
 
   /** Largest dense work that runs in driver memory: m·k·n for a product,
     * and the largest input or output cell count for the other data-parallel
-    * kernels. `inverse`, `choleskyL`, `expElem` and `determinant` gather to
-    * Breeze on either side, so they always run in driver memory, up to
+    * kernels. `inverse`, `choleskyL`, `expElem` and `determinant` have only
+    * a Breeze kernel, so they always run in driver memory, up to
     * `COOMatrix.MaxLocalCells`.
     */
   val LocalWork: Double = (1 << 22).toDouble
@@ -40,7 +40,15 @@ object Exec {
   final case class Result(value: EVal, steps: Vector[Step], wallMillis: Double) {
     /** Total materialized intermediate cells — the deterministic bench metric. */
     def totalCells: Long = steps.map(_.cells).sum
-    def scalar: Double = value.fold(identity, Ops.scalar)
+    def scalar: Double = value.fold(identity, scalarOf)
+  }
+
+  /** The value of a 1×1 matrix (0 when its cell is not stored), read in
+    * driver memory; the shape is checked before any cell is collected.
+    */
+  private def scalarOf(m: COOMatrix): Double = {
+    require(m.rows == 1 && m.cols == 1, s"not scalar: ${m.rows}x${m.cols}")
+    LocalCOO.scalar(m.local)
   }
 
   /** Evaluate `e` over `env`, materializing every operator output. */
@@ -75,8 +83,9 @@ object Exec {
   }
 
   /** Each data-parallel kernel call on [[LocalCOO]] when `local` holds for
-    * its dense work, else on [[Ops]]; the Breeze-only kernels on
-    * [[LocalCOO]]. A local result is a `COOMatrix` that keeps its copy.
+    * its dense work, else on [[Ops]]; the Breeze-only kernels, `lift` and
+    * `scalar` on [[LocalCOO]]. A local result is a `COOMatrix` that keeps
+    * its copy. This is the only `Kernels[COOMatrix]`.
     */
   private final class Placed(local: Double => Boolean) extends Kernels[COOMatrix] {
     private type C = COOMatrix
@@ -90,7 +99,7 @@ object Exec {
       if (local(work)) here else spark
 
     def lift(s: Double): C = COOMatrix.fromLocal(SparkSession.active, L.lift(s))
-    def scalar(m: C): Double = num(cells(m))(Ops.scalar(m), L.scalar(m.local))
+    def scalar(m: C): Double = scalarOf(m)
     def multiply(a: C, b: C): C =
       mat(a.rows.toDouble * a.cols * b.cols, a)(Ops.multiply(a, b), L.multiply(a.local, b.local))
     def add(a: C, b: C): C      = mat(cells(a, b), a)(Ops.add(a, b), L.add(a.local, b.local))

@@ -21,10 +21,12 @@ final class LocalCOO private (val values: DenseMatrix[Double], val stored: Dense
     for (i <- 0 until rows; j <- 0 until cols if stored(i, j) != 0.0) yield (i, j, values(i, j))
 }
 
-/** The [[Ops]] kernels in driver memory, cell for cell. Values come from
-  * `LocalExec.Dense`'s kernels, so no arithmetic is written a third time;
-  * the stored cells follow the COO kernels' joins and aggregations, which
-  * the same kernels compute over the 0/1 patterns:
+/** Every kernel of [[Exec]] in driver memory. The data-parallel ones match
+  * [[Ops]] cell for cell; the Breeze-only ones and `lift`/`scalar` exist
+  * only here. Values come from `LocalExec.Dense`'s kernels, so no
+  * arithmetic is written a third time; the stored cells follow the COO
+  * kernels' joins and aggregations, which the same kernels compute over the
+  * 0/1 patterns:
   *  - `multiply`: cells with some k where both operands are stored (when
   *    an operand holds ±Inf or NaN, the values too are summed over those
   *    k only, as the join does);
@@ -35,7 +37,7 @@ final class LocalCOO private (val values: DenseMatrix[Double], val stored: Dense
   *  - `rowSums`/`colSums`: the rows or columns with a stored cell;
   *  - `transpose`, `diag`, `cbind`: the operand's cells, moved;
   *  - `lift`, `inverse`, `choleskyL`, `expElem`: the non-zero values, as
-  *    `COOMatrix.fromBreeze` stores them.
+  *    `fromBreeze` stores them.
   */
 object LocalCOO extends Kernels[LocalCOO] {
   private type D = DenseMatrix[Double]
@@ -50,8 +52,8 @@ object LocalCOO extends Kernels[LocalCOO] {
                    if (on(i, j) != 0.0) values(i, j) else 0.0), on)
   }
 
-  /** The cells of `m` whose magnitude exceeds `eps`. */
-  def fromBreeze(m: D, eps: Double = 0.0): LocalCOO = apply(m, m.map(x => if (math.abs(x) > eps) 1.0 else 0.0))
+  /** The cells of `m` whose magnitude exceeds 0 (NaN is not stored). */
+  def fromBreeze(m: D): LocalCOO = apply(m, m.map(x => if (math.abs(x) > 0.0) 1.0 else 0.0))
 
   /** The given stored cells of a `rows`×`cols` matrix. */
   def of(rows: Int, cols: Int, cells: Iterable[(Int, Int, Double)]): LocalCOO = {

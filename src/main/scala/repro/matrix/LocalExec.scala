@@ -63,9 +63,9 @@ object LocalExec {
   }
 
   /** Deterministic random dense matrix. */
-  def rand(rows: Int, cols: Int, seed: Long, scale: Double = 1.0): DenseMatrix[Double] = {
+  def rand(rows: Int, cols: Int, seed: Long): DenseMatrix[Double] = {
     val r = new scala.util.Random(seed)
-    DenseMatrix.fill(rows, cols)((r.nextDouble() + 0.1) * scale)
+    DenseMatrix.fill(rows, cols)(r.nextDouble() + 0.1)
   }
 
   /** Deterministic random sparse matrix with approx `sparsity` density. */

@@ -1,27 +1,16 @@
 package repro.matrix
 
-import org.apache.spark.sql.{DataFrame, SparkSession}
+import org.apache.spark.sql.DataFrame
 import org.apache.spark.sql.functions._
-import breeze.linalg.{DenseMatrix, cholesky, det => bdet, inv => binv}
 
-/** Distributed implementations of every `L_ops` operation over [[COOMatrix]]:
-  * the kernels [[Exec]] runs through [[Eval]].
+/** The data-parallel kernels over [[COOMatrix]] on Spark: the ones
+  * [[Exec]] places on Spark, plus the Morpheus and B6/B9 code's own calls.
   *
-  * All data-parallel operators are expressed with DataFrame joins and
-  * aggregations so they run through Catalyst; inverse, determinant,
-  * Cholesky and element-exp gather to Breeze (see COOMatrix doc).
+  * Each is a DataFrame join or aggregation, so it runs through Catalyst.
+  * Inverse, determinant, Cholesky, element-exp and the scalar/1×1
+  * conversions are not data-parallel; their one kernel is [[LocalCOO]]'s.
   */
-object Ops extends Kernels[COOMatrix] {
-
-  /** `s` as a 1×1 matrix of the active Spark session. */
-  def lift(s: Double): COOMatrix =
-    COOMatrix.fromBreeze(SparkSession.active, DenseMatrix.fill(1, 1)(s))
-
-  /** The value of a 1×1 matrix (0 when its cell is not stored). */
-  def scalar(m: COOMatrix): Double = {
-    require(m.rows == 1 && m.cols == 1, s"not scalar: ${m.rows}x${m.cols}")
-    m.df.collect().headOption.map(_.getDouble(2)).getOrElse(0.0)
-  }
+object Ops {
 
   /** Matrix product A·B via join on the contraction index + sum-aggregate. */
   def multiply(a: COOMatrix, b: COOMatrix): COOMatrix = {
@@ -95,22 +84,6 @@ object Ops extends Kernels[COOMatrix] {
     val shifted = b.df.select(col("i"), (col("j") + lit(a.cols)) as "j", col("v"))
     COOMatrix(a.df.unionByName(shifted), a.rows, a.cols + b.cols)
   }
-
-  // Local (gather) operations — not data-parallel-friendly.
-
-  def inverse(a: COOMatrix): COOMatrix = {
-    require(a.rows == a.cols, "inverse of a non-square matrix")
-    COOMatrix.fromBreeze(a.spark, binv(a.toBreeze()))
-  }
-
-  def determinant(a: COOMatrix): Double = bdet(a.toBreeze())
-
-  def choleskyL(a: COOMatrix): COOMatrix =
-    COOMatrix.fromBreeze(a.spark, cholesky(a.toBreeze()))
-
-  /** Element-wise exponential; exp(0)=1 makes the result dense. */
-  def expElem(a: COOMatrix): COOMatrix =
-    COOMatrix.fromBreeze(a.spark, breeze.numerics.exp(a.toBreeze()))
 
   /** Number of scalar products a·b performs (join-pair count) — the
     * deterministic compute metric used by the Morpheus benchmark, where the

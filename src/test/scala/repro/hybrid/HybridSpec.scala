@@ -43,7 +43,7 @@ class HybridSpec extends SparkSpec {
     val nDirect  = HybridData.twitterN(tw, "covid")
     val nViaView = HybridData.twitterN(tw, "covid", spark.read.parquet(dir))
     assert(breeze.linalg.max(breeze.numerics.abs(
-      nDirect.toBreeze() - nViaView.toBreeze())) < 1e-12)
+      nDirect.local.values - nViaView.local.values)) < 1e-12)
   }
 
   test("Catalyst rule substitutes an exactly-matching optimized subtree") {

@@ -41,7 +41,7 @@ class ExecSpec extends SparkSpec {
     val d = (run.value, exp) match {
       case (ScaV(x), LocalExec.LSca(y)) => math.abs(x - y)
       case (MatV(m), lv)                =>
-        breeze.linalg.max(breeze.numerics.abs(m.toBreeze() - LocalExec.asMat(lv)))
+        breeze.linalg.max(breeze.numerics.abs(m.local.values - LocalExec.asMat(lv)))
       case other                        => fail(s"value kind mismatch: $other")
     }
     assert(d < tol, s"${e.render}: diff $d")
@@ -102,6 +102,26 @@ class ExecSpec extends SparkSpec {
 
   private type Place = Double => Boolean
 
+  test("Result.scalar reads a 1x1 matrix, 0 with no stored cell, under any placement") {
+    val vv = breeze.linalg.sum(envB("v") *:* envB("v"))
+    for (place <- Seq[Place](_ <= Exec.LocalWork, _ => false)) {
+      // E is 1x1 over an empty frame: fromBreeze stores no cell for the 0.
+      val env = cold(envB + ("E" -> DenseMatrix.zeros[Double](1, 1)))
+      val r   = Exec.run(Mul(T(v), v), env, place)
+      assert(r.value.fold(_ => false, x => x.rows == 1 && x.cols == 1))
+      assert(math.abs(r.scalar - vv) < 1e-8)
+      // SInv reads its 1x1 matrix operand through the kernels' `scalar`.
+      assert(math.abs(Exec.run(SInv(Mul(T(v), v)), env, place).scalar - 1.0 / vv) < 1e-12)
+      val e = Exec.run(T(Mat("E")), env, place)
+      assert(e.steps == Vector(Exec.Step("tr", 0)) && e.scalar == 0.0)
+    }
+    // A wrong shape fails before its cells are collected.
+    val env  = cold(envB)
+    val leaf = env("M").fold(_ => fail("M is a matrix"), identity)
+    intercept[IllegalArgumentException](Exec.run(m, env).scalar)
+    assert(!leaf.isLocal)
+  }
+
   /** Spark values with no local copy, so that a local node must collect them. */
   private def cold(ms: Map[String, DenseMatrix[Double]]): Exec.Env = ms.map { case (name, x) =>
     name -> (MatV(COOMatrix(COOMatrix.fromBreeze(spark, x).df, x.rows.toLong, x.cols.toLong)): EVal)
@@ -117,7 +137,7 @@ class ExecSpec extends SparkSpec {
     (viewSteps ++ r.steps, r.value)
   }
 
-  private def asBreeze(x: EVal): DenseMatrix[Double] = x.fold(DenseMatrix.fill(1, 1)(_), _.toBreeze())
+  private def asBreeze(x: EVal): DenseMatrix[Double] = x.fold(DenseMatrix.fill(1, 1)(_), _.local.values)
 
   /** Runs `e` (after `views`) all on Spark, all local, split at the lower
     * median of its kernels' works, and alternating call by call; asserts the

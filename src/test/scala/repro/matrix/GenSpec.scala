@@ -33,7 +33,7 @@ class GenSpec extends SparkSpec {
   }
 
   test("spd generator is symmetric and invertible") {
-    val m  = Gen.spd(spark, 10, seed = 5).toBreeze()
+    val m  = Gen.spd(spark, 10, seed = 5).local.values
     assert(breeze.linalg.max(breeze.numerics.abs(m - m.t)) < 1e-12)
     assert(breeze.linalg.det(m) > 0)
   }
@@ -43,7 +43,7 @@ class GenSpec extends SparkSpec {
     val m = COOMatrix.fromBreeze(spark, d)
     assert(m.nnz == 2)
     intercept[IllegalArgumentException] {
-      COOMatrix(m.df, 100000, 100000).toBreeze()
+      COOMatrix(m.df, 100000, 100000).local
     }
   }
 }

@@ -3,9 +3,11 @@ package repro.matrix
 import org.apache.spark.sql.DataFrame
 import repro.{Oracle, SparkSpec}
 
-/** Distributed operator correctness: every data-parallel `L_ops` operator is
+/** Spark kernel correctness: each of [[Ops]]'s data-parallel kernels is
   * checked against DuckDB SQL over the same COO tables (via the Oracle) and
-  * the whole set against dense Breeze results.
+  * against dense Breeze results. The Breeze-only kernels (inverse,
+  * determinant, Cholesky, element-exp) live in `LocalCOO` alone and are
+  * checked against the oracle in `ExecSpec`.
   */
 class OpsSpec extends SparkSpec {
 
@@ -91,50 +93,37 @@ class OpsSpec extends SparkSpec {
       "a" -> coo(a), "d" -> coo(d))
   }
 
-  // Dense Breeze cross-checks (cover local-gather ops too).
+  // Dense Breeze cross-checks of the Spark kernels.
 
   private def close(x: Double, y: Double): Boolean = math.abs(x - y) < 1e-8 * math.max(1, math.abs(y))
 
-  test("roundtrip toBreeze/fromBreeze preserves values") {
-    val m  = a.toBreeze()
-    val m2 = COOMatrix.fromBreeze(spark, m).toBreeze()
+  test("roundtrip local/fromBreeze preserves values") {
+    val m  = a.local.values
+    val m2 = COOMatrix(COOMatrix.fromBreeze(spark, m).df, a.rows, a.cols).local.values
     assert(breeze.linalg.max(breeze.numerics.abs(m - m2)) < 1e-12)
   }
 
   test("multiply/add/sub/hadamard/divide agree with Breeze") {
-    val (ba, bb, bc) = (a.toBreeze(), b.toBreeze(), c.toBreeze())
+    val (ba, bb, bc) = (a.local.values, b.local.values, c.local.values)
     assert(breeze.linalg.max(breeze.numerics.abs(
-      Ops.multiply(a, b).toBreeze() - ba * bb)) < 1e-9)
+      Ops.multiply(a, b).local.values - ba * bb)) < 1e-9)
     assert(breeze.linalg.max(breeze.numerics.abs(
-      Ops.add(a, c).toBreeze() - (ba + bc))) < 1e-9)
+      Ops.add(a, c).local.values - (ba + bc))) < 1e-9)
     assert(breeze.linalg.max(breeze.numerics.abs(
-      Ops.subtract(a, c).toBreeze() - (ba - bc))) < 1e-9)
+      Ops.subtract(a, c).local.values - (ba - bc))) < 1e-9)
     assert(breeze.linalg.max(breeze.numerics.abs(
-      Ops.hadamard(a, c).toBreeze() - (ba *:* bc))) < 1e-9)
+      Ops.hadamard(a, c).local.values - (ba *:* bc))) < 1e-9)
+    assert(breeze.linalg.max(breeze.numerics.abs(
+      Ops.divide(c, a).local.values - (bc /:/ ba))) < 1e-9)
   }
 
   test("sum/trace/diag agree with Breeze") {
     val sq = Gen.dense(spark, 9, 9, seed = 5)
-    val bs = sq.toBreeze()
+    val bs = sq.local.values
     assert(close(Ops.sumAll(sq), breeze.linalg.sum(bs)))
     assert(close(Ops.trace(sq), breeze.linalg.trace(bs)))
-    val d = Ops.diag(sq).toBreeze()
+    val d = Ops.diag(sq).local.values
     (0 until 9).foreach(i => assert(close(d(i, 0), bs(i, i))))
-  }
-
-  test("inverse, determinant, cholesky agree with Breeze") {
-    val spd = Gen.spd(spark, 8, seed = 6)
-    val bm  = spd.toBreeze()
-    assert(breeze.linalg.max(breeze.numerics.abs(
-      Ops.inverse(spd).toBreeze() - breeze.linalg.inv(bm))) < 1e-6)
-    assert(close(Ops.determinant(spd), breeze.linalg.det(bm)))
-    val l = Ops.choleskyL(spd).toBreeze()
-    assert(breeze.linalg.max(breeze.numerics.abs(l * l.t - bm)) < 1e-6)
-  }
-
-  test("expElem agrees with Breeze") {
-    val e = Ops.expElem(a).toBreeze()
-    assert(breeze.linalg.max(breeze.numerics.abs(e - breeze.numerics.exp(a.toBreeze()))) < 1e-9)
   }
 
   test("computeMeta reports exact nnz and MNC histograms") {

@@ -15,7 +15,7 @@ class MorpheusSpec extends SparkSpec {
 
   private def diff(a: COOMatrix, b: COOMatrix): Double = {
     assert(a.rows == b.rows && a.cols == b.cols, s"${a.rows}x${a.cols} vs ${b.rows}x${b.cols}")
-    breeze.linalg.max(breeze.numerics.abs(a.toBreeze() - b.toBreeze()))
+    breeze.linalg.max(breeze.numerics.abs(a.local.values - b.local.values))
   }
 
   test("synthetic PK-FK shapes: M = [S, K·R]") {
