@@ -2,7 +2,7 @@ package repro.hybrid
 
 import org.apache.spark.sql.{DataFrame, SparkSession}
 import org.apache.spark.sql.functions._
-import repro.matrix.COOMatrix
+import repro.matrix.{COOMatrix, Exec}
 
 /** Synthetic stand-ins for the paper's hybrid benchmark datasets (§9.2.2):
   * a Twitter-like corpus (users / tweets / hashtag entities) and a MIMIC-like
@@ -78,7 +78,7 @@ object HybridData {
     val kwTweets = t.tweets.filter(col("kw") === kw).select("t_id")
     val df = src.join(kwTweets, "t_id")
       .select(col("t_id") as "i", col("h_id") as "j", col("filter_level") as "v")
-    COOMatrix(df, t.nTweets, t.nHashtags)
+    matrix(df, t.nTweets, t.nHashtags)
   }
 
   /** The paper's V2: id/hashtag/filter-level for all US tweets — the
@@ -133,7 +133,7 @@ object HybridData {
     val df = m.callout.filter(col("careunit") === careunit)
       .join(m.services.select("s_id"), "s_id")
       .select(col("p_id") as "i", col("s_id") as "j", col("outcome") as "v")
-    COOMatrix(df, m.nPatients, m.nServices)
+    matrix(df, m.nPatients, m.nServices)
   }
 
   /** Row-indexed wide frame → COO matrix (the relation→matrix conversion of
@@ -143,6 +143,15 @@ object HybridData {
     val arr = array(features.map(col): _*)
     val coo = df.select(col(keyCol) as "i", posexplode(arr).as(Seq("j", "v")))
       .filter(col("v") =!= 0.0)
-    COOMatrix(coo, rows, features.size.toLong)
+    matrix(coo, rows, features.size.toLong)
+  }
+
+  /** An RA result as a matrix. One of at most `Exec.LocalWork` cells is
+    * collected by the job that computes it and keeps that copy, so a later
+    * `nnz` or local kernel runs no job; a larger one stays a lazy frame.
+    */
+  private def matrix(df: DataFrame, rows: Long, cols: Long): COOMatrix = {
+    val m = COOMatrix(df, rows, cols)
+    if (m.cells <= Exec.LocalWork) COOMatrix.fromLocal(df.sparkSession, m.local) else m
   }
 }

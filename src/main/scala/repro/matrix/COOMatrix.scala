@@ -18,8 +18,9 @@ import repro.core.{Hist, Meta}
   * `rowSums`/`colSums` store the rows or columns that have a stored cell;
   * `transpose`, `diag` and `cbind` move their operand's cells.
   * `fromBreeze` is the one place that drops zeros, so `LocalCOO`'s `lift`,
-  * `inverse`, `choleskyL` and `expElem` store their non-zero values. `nnz`,
-  * which `Exec.Step.cells` records, counts the stored cells.
+  * `inverse`, `choleskyL` and `expElem` store every value that is not 0,
+  * NaN included. `nnz`, which `Exec.Step.cells` records, counts the stored
+  * cells.
   *
   * This is the execution substrate standing in for the paper's LA backends:
   * the data-parallel `L_ops` operations run over it as DataFrame joins and

@@ -36,8 +36,8 @@ final class LocalCOO private (val values: DenseMatrix[Double], val stored: Dense
   *  - `scalarMul`: the operand's cells, even for c = 0;
   *  - `rowSums`/`colSums`: the rows or columns with a stored cell;
   *  - `transpose`, `diag`, `cbind`: the operand's cells, moved;
-  *  - `lift`, `inverse`, `choleskyL`, `expElem`: the non-zero values, as
-  *    `fromBreeze` stores them.
+  *  - `lift`, `inverse`, `choleskyL`, `expElem`: the values that are not 0
+  *    (NaN included), as `fromBreeze` stores them.
   */
 object LocalCOO extends Kernels[LocalCOO] {
   private type D = DenseMatrix[Double]
@@ -52,8 +52,8 @@ object LocalCOO extends Kernels[LocalCOO] {
                    if (on(i, j) != 0.0) values(i, j) else 0.0), on)
   }
 
-  /** The cells of `m` whose magnitude exceeds 0 (NaN is not stored). */
-  def fromBreeze(m: D): LocalCOO = apply(m, m.map(x => if (math.abs(x) > 0.0) 1.0 else 0.0))
+  /** The cells of `m` that are not 0 (NaN is stored). */
+  def fromBreeze(m: D): LocalCOO = apply(m, m.map(x => if (x != 0.0) 1.0 else 0.0))
 
   /** The given stored cells of a `rows`×`cols` matrix. */
   def of(rows: Int, cols: Int, cells: Iterable[(Int, Int, Double)]): LocalCOO = {

@@ -1,7 +1,11 @@
 package repro.hybrid
 
+import java.util.concurrent.{CountDownLatch, TimeUnit}
+import java.util.concurrent.atomic.AtomicInteger
+import org.apache.spark.scheduler.{SparkListener, SparkListenerJobStart}
 import repro.{Oracle, SparkSpec, TestEnvs}
 import repro.core._
+import repro.matrix.COOMatrix
 
 /** Hybrid (RA + LA) stage tests: the RA preprocessing is checked against
   * DuckDB, the Catalyst view-substitution rule is exercised, and every
@@ -71,6 +75,90 @@ class HybridSpec extends SparkSpec {
     q.collect()
     assert(ViewSubstitution.substitutions > before)
     ViewSubstitution.clear()
+  }
+
+  /** The Spark jobs that `body` starts, counted by a listener under a job
+    * group of its own. Listener events arrive asynchronously but in order,
+    * so a marker job in a second group is awaited before the count is read.
+    */
+  private def jobsOf[A](body: => A): (A, Int) = {
+    val sc     = spark.sparkContext
+    val group  = s"jobs-${System.nanoTime()}"
+    val jobs   = new AtomicInteger()
+    val marker = new CountDownLatch(1)
+    val listener = new SparkListener {
+      override def onJobStart(e: SparkListenerJobStart): Unit =
+        Option(e.properties).map(_.getProperty("spark.jobGroup.id")) match {
+          case Some(`group`)                  => jobs.incrementAndGet()
+          case Some(g) if g == s"$group-done" => marker.countDown()
+          case _                              =>
+        }
+    }
+    def inGroup[B](g: String)(f: => B): B = {
+      sc.setJobGroup(g, g)
+      try f finally sc.clearJobGroup()
+    }
+    sc.addSparkListener(listener)
+    try {
+      val a = inGroup(group)(body)
+      inGroup(s"$group-done")(sc.parallelize(Seq(1), 1).count())
+      assert(marker.await(60, TimeUnit.SECONDS), "listener saw no marker job")
+      (a, jobs.get)
+    } finally sc.removeSparkListener(listener)
+  }
+
+  /** Build a matrix as the executor reads it: its count, then its cells. */
+  private def built(m: => COOMatrix): COOMatrix = { val x = m; x.nnz; x.local; x }
+
+  private def sameCells(a: COOMatrix, b: COOMatrix): Boolean = a.local.entries == b.local.entries
+
+  test("with V2 registered, M and N are each built by one Spark job and held locally") {
+    val dir = java.nio.file.Files.createTempDirectory("vjobs").toString + "/v2"
+    // Adaptive execution submits each shuffle stage as a job of its own;
+    // the benchmark session runs without it, as this count does.
+    val aqe = spark.conf.get("spark.sql.adaptive.enabled")
+    spark.conf.set("spark.sql.adaptive.enabled", "false")
+    ViewSubstitution.install(spark)
+    ViewSubstitution.clear()
+    try {
+      ViewSubstitution.register(HybridData.usEntities(tw), dir)
+      val (m, mJobs) = jobsOf(built(HybridData.twitterM(tw)))
+      val before     = ViewSubstitution.substitutions
+      val (n, nJobs) = jobsOf(built(HybridData.twitterN(tw, "covid")))
+      assert(ViewSubstitution.substitutions > before, "the rule did not fire when N was built")
+      assert(mJobs == 1 && nJobs == 1, s"M: $mJobs jobs, N: $nJobs jobs")
+      assert(m.isLocal && n.isLocal)
+      ViewSubstitution.clear()
+      assert(sameCells(n, HybridData.twitterN(tw, "covid")))
+    } finally {
+      ViewSubstitution.clear()
+      spark.conf.set("spark.sql.adaptive.enabled", aqe)
+    }
+  }
+
+  test("registering a view again at its path replaces the entry: no stale file listing") {
+    val dir   = java.nio.file.Files.createTempDirectory("vreg").toString + "/v2"
+    val other = HybridData.twitter(spark, nUsers = 50, nTweets = 200, nHashtags = 30, seed = 78)
+    ViewSubstitution.install(spark)
+    ViewSubstitution.clear()
+    val (direct, directOther) = (HybridData.twitterN(tw, "covid"), HybridData.twitterN(other, "covid"))
+    try {
+      // The same definition twice: the second write replaces the first's files.
+      ViewSubstitution.register(HybridData.usEntities(tw), dir)
+      ViewSubstitution.register(HybridData.usEntities(tw), dir)
+      val before = ViewSubstitution.substitutions
+      assert(sameCells(HybridData.twitterN(tw, "covid"), direct))
+      assert(ViewSubstitution.substitutions > before)
+      // Another definition at the same path: its rows are substituted, and
+      // the first definition is no longer read from the overwritten files.
+      ViewSubstitution.register(HybridData.usEntities(other), dir)
+      val hits = ViewSubstitution.substitutions
+      assert(sameCells(HybridData.twitterN(other, "covid"), directOther))
+      assert(ViewSubstitution.substitutions > hits)
+      val after = ViewSubstitution.substitutions
+      assert(sameCells(HybridData.twitterN(tw, "covid"), direct))
+      assert(ViewSubstitution.substitutions == after)
+    } finally ViewSubstitution.clear()
   }
 
   // ------------------------- Q1–Q10 LA rewriting (paper §9.2.2) -------------

@@ -200,6 +200,25 @@ class ExecSpec extends SparkSpec {
     }
   }
 
+  test("a NaN from a Breeze-only kernel is stored and matches the oracle under any placement") {
+    // exp(1000·M) is +Inf in M's first column, so the stored cells of the
+    // difference hold Inf − Inf = NaN, which exp keeps.
+    val big = ScaMul(Lit(1000.0), Mat("A"))
+    val e   = Exp(Sub(Exp(big), Exp(big)))
+    val a   = Map("A" -> DenseMatrix((1.0, 0.001), (2.0, 0.002)))
+    val want = LocalExec.asMat(LocalExec.eval(e, a.map { case (k, x) => k -> LocalExec.LMat(x) }))
+    assert(want(0, 0).isNaN && want(1, 0).isNaN && want(0, 1) == 1.0 && want(1, 1) == 1.0, want.toString)
+    crossCheck(e.render, e, Nil, () => cold(a), 0.0)
+    for (place <- Seq[Place](_ => false, _ => true, _ <= Exec.LocalWork)) {
+      val r   = Exec.run(e, cold(a), place)
+      val got = asBreeze(r.value)
+      for (i <- 0 until 2; j <- 0 until 2)
+        assert(got(i, j).isNaN == want(i, j).isNaN && (want(i, j).isNaN || got(i, j) == want(i, j)),
+               got.toString)
+      assert(r.steps.last == Exec.Step("exp", 4))
+    }
+  }
+
   test("stored zeros count as cells under any placement") {
     for (e <- storedZeros) crossCheck(e.render, e, Nil, () => cold(envB), 1e-12)
     val r = Exec.run(Sub(m, m), cold(envB))
