@@ -38,36 +38,35 @@ object Harness {
     rows.foreach(r => println(fmt(r)))
   }
 
-  /** Build a Spark COO environment matching `meta` profiles. Square matrices
-    * listed in `spd` are generated symmetric positive definite (so that
+  /** Build a Spark COO environment matching `meta` profiles. Square C and
+    * D are generated symmetric positive definite (so that
     * inverse/determinant/Cholesky pipelines are well-posed); matrices with
-    * sparsity < 0.5 are generated sparse with that nnz.
+    * sparsity < 0.5 are generated sparse with that nnz. Scalars s1 and s2
+    * are 1.7 and 2.3.
     */
-  def envFromMeta(spark: SparkSession, meta: Map[String, Meta],
-                  spd: Set[String] = Set("C", "D"), seed: Long = 1234,
-                  scalars: Map[String, Double] = Map("s1" -> 1.7, "s2" -> 2.3)): Exec.Env = {
+  def envFromMeta(spark: SparkSession, meta: Map[String, Meta]): Exec.Env = {
     val mats: Exec.Env = meta.map { case (n, m) =>
+      val seed = 1234L + n.hashCode
       val v =
-        if (spd(n) && m.rows == m.cols && m.rows <= 2000)
-          Gen.spd(spark, m.rows.toInt, seed + n.hashCode)
-        else if (m.sparsity < 0.5)
-          Gen.sparse(spark, m.rows, m.cols, m.nnz.toLong, seed + n.hashCode)
-        else Gen.dense(spark, m.rows, m.cols, seed + n.hashCode)
+        if (Set("C", "D")(n) && m.rows == m.cols && m.rows <= 2000)
+          Gen.spd(spark, m.rows.toInt, seed)
+        else if (m.sparsity < 0.5) Gen.sparse(spark, m.rows, m.cols, m.nnz.toLong, seed)
+        else Gen.dense(spark, m.rows, m.cols, seed)
       n -> (Exec.MatV(v): Exec.EVal)
     }
-    mats ++ scalars.map { case (n, v) => n -> (Exec.ScaV(v): Exec.EVal) }
+    mats + ("s1" -> Exec.ScaV(1.7)) + ("s2" -> Exec.ScaV(2.3))
   }
 
   /** Materialize views into the environment (computed once, like the paper's
     * pre-computed CSV views) and return the extended env + view metadata.
     */
-  def withViews(env: Exec.Env, views: Seq[View], meta: Map[String, Meta],
-                est: Estimator = NaiveEstimator): (Exec.Env, Map[String, Meta]) = {
+  def withViews(env: Exec.Env, views: Seq[View],
+                meta: Map[String, Meta]): (Exec.Env, Map[String, Meta]) = {
     var e = env
     var m = meta
     for (v <- views) {
       val value = Exec.run(v.body, e).value
-      val vm    = CostModel.gamma(v.body, m.get, est).meta
+      val vm    = CostModel.gamma(v.body, m.get, NaiveEstimator).meta
       e += (v.name -> value)
       m += (v.name -> vm)
     }
@@ -94,9 +93,8 @@ object Harness {
 
   /** Run one pipeline: HADAD rewrite, then both forms on the executor. */
   def run(table: String, id: String, e: Expr, meta: Map[String, Meta],
-          env: Exec.Env, views: Seq[View] = Nil,
-          estimator: () => Estimator = () => NaiveEstimator): Row = {
-    val r = Rewriter.rewrite(e, meta, views, Rewriter.Config(estimator = estimator))
+          env: Exec.Env, views: Seq[View]): Row = {
+    val r = Rewriter.rewrite(e, meta, views)
     val orig = Exec.run(e, env)
     val rw   = Exec.run(r.chosen, env)
     sanity(id, orig, rw)

@@ -1,8 +1,9 @@
 package repro.bench
 
 import org.apache.spark.sql.SparkSession
+import scala.collection.mutable
 import repro.core._
-import repro.matrix.{COOMatrix, Exec, Gen, Ops}
+import repro.matrix.{COOMatrix, Exec, Gen, LocalCOO, Ops}
 import repro.morpheus.NormalizedMatrix
 import repro.hybrid.{HybridData, HybridQueries, ViewSubstitution}
 
@@ -16,30 +17,41 @@ object Tables {
   private def tune(spark: SparkSession): Unit =
     spark.conf.set("spark.sql.shuffle.partitions", "16")
 
+  /** Runs each of `ids`, in order, on the original and HADAD-rewritten
+    * plans. Each distinct `metaFor` map gets one environment, with `views`
+    * materialized into it; a leaf is collected when a plan first reads it,
+    * and then kept.
+    */
+  private def runLA(spark: SparkSession, table: String, ids: Seq[String],
+                    metaFor: String => Map[String, Meta],
+                    views: Seq[Rewriter.View] = Nil): Seq[Harness.Row] = {
+    tune(spark)
+    val envs = mutable.Map[Map[String, Meta], (Exec.Env, Map[String, Meta])]()
+    ids.map { id =>
+      val base = metaFor(id)
+      val (env, meta) = envs.getOrElseUpdate(base,
+        Harness.withViews(Harness.envFromMeta(spark, base), views, base))
+      Harness.run(table, id, Pipelines.byId(id), meta, env, views)
+    }
+  }
+
   // ---------------------------------------------------------------- B1 (Fig 5)
   /** LA rewriting, no views: P1.1, P1.3, P1.4, P1.15. */
   def b1(spark: SparkSession): Seq[Harness.Row] = {
-    tune(spark)
     val meta = Map(
       "M"  -> Meta.dense(800, 40), "N" -> Meta.dense(40, 800),
       "A"  -> Meta.sparse(4000, 40, 1000), "B" -> Meta.dense(4000, 40),
       "C"  -> Meta.dense(250, 250), "D" -> Meta.dense(250, 250),
       "v1" -> Meta.dense(40, 1),
     )
-    val env = Harness.envFromMeta(spark, meta)
-    for (id <- Seq("P1.1", "P1.3", "P1.4", "P1.15"))
-      yield Harness.run("B1", id, Pipelines.byId(id), meta, env)
+    runLA(spark, "B1", Seq("P1.1", "P1.3", "P1.4", "P1.15"), _ => meta)
   }
 
   // ---------------------------------------------------------------- B2 (Fig 6)
   /** Aggregate-rewrite pipelines: P1.13, P1.25, P1.14, P2.12. */
-  def b2(spark: SparkSession): Seq[Harness.Row] = {
-    tune(spark)
-    val meta = Map("M" -> Meta.dense(600, 30), "N" -> Meta.dense(30, 600))
-    val env  = Harness.envFromMeta(spark, meta)
-    for (id <- Seq("P1.13", "P1.25", "P1.14", "P2.12"))
-      yield Harness.run("B2", id, Pipelines.byId(id), meta, env)
-  }
+  def b2(spark: SparkSession): Seq[Harness.Row] =
+    runLA(spark, "B2", Seq("P1.13", "P1.25", "P1.14", "P2.12"),
+          _ => Map("M" -> Meta.dense(600, 30), "N" -> Meta.dense(30, 600)))
 
   // ---------------------------------------------------------------- B3 (Fig 8)
   /** Speedup distribution over all P^¬Opt pipelines (reduced dims). */
@@ -55,26 +67,14 @@ object Tables {
   def b3MetaFor(id: String): Map[String, Meta] =
     if (id == "P2.21") b3Meta + ("v1" -> Meta.dense(150, 1)) else b3Meta
 
-  def b3(spark: SparkSession): Seq[Harness.Row] = {
-    tune(spark)
-    val env = Harness.envFromMeta(spark, b3Meta)
-    val envP221 = env ++ Harness.envFromMeta(
-      spark, Map("v1" -> Meta.dense(150, 1)), seed = 77)
-    for (id <- Pipelines.notOptIds) yield {
-      val e = if (id == "P2.21") envP221 else env
-      Harness.run("B3", id, Pipelines.byId(id), b3MetaFor(id), e)
-    }
-  }
+  def b3(spark: SparkSession): Seq[Harness.Row] =
+    runLA(spark, "B3", Pipelines.notOptIds, b3MetaFor)
 
   // ---------------------------------------------------------------- B4 (Fig 7)
   /** View-based rewriting with V_exp: P2.14, P2.21, P2.25, P2.27. */
-  def b4(spark: SparkSession): Seq[Harness.Row] = {
-    tune(spark)
-    val env0 = Harness.envFromMeta(spark, b3MetaFor("P2.21"))
-    val (env, meta) = Harness.withViews(env0, Pipelines.vexp, b3MetaFor("P2.21"))
-    for (id <- Seq("P2.14", "P2.21", "P2.25", "P2.27"))
-      yield Harness.run("B4", id, Pipelines.byId(id), meta, env, views = Pipelines.vexp)
-  }
+  def b4(spark: SparkSession): Seq[Harness.Row] =
+    runLA(spark, "B4", Seq("P2.14", "P2.21", "P2.25", "P2.27"),
+          _ => b3MetaFor("P2.21"), Pipelines.vexp)
 
   // -------------------------------------------------------------- B5 (§9.1.3)
   /** Rewriting time RW_find across all 57 pipelines, both estimators, plus
@@ -83,7 +83,6 @@ object Tables {
   final case class B5Row(pipeline: String, estimator: String, findMs: Double,
                          hitBudget: Boolean)
   def b5(spark: SparkSession): (Seq[B5Row], Seq[Harness.Row]) = {
-    tune(spark)
     val rows = for {
       (est, name) <- Seq((() => NaiveEstimator: Estimator, "naive"),
                          (() => new MNCEstimator: Estimator, "mnc"))
@@ -94,10 +93,7 @@ object Tables {
       B5Row(id, name, r.findMillis, r.stats.hitFactBudget)
     }
     // Overhead sample: already-optimal pipelines with expensive operators.
-    val env = Harness.envFromMeta(spark, b3Meta)
-    val sample = for (id <- Seq("P1.20", "P1.22", "P2.19", "P2.23"))
-      yield Harness.run("B5", id, Pipelines.byId(id), b3MetaFor(id), env)
-    (rows, sample)
+    (rows, runLA(spark, "B5", Seq("P1.20", "P1.22", "P2.19", "P2.23"), b3MetaFor))
   }
 
   // ---------------------------------------------------------------- B6 (Fig 9)
@@ -114,11 +110,10 @@ object Tables {
     def wallSpeedup: Double = morpheusMs / math.max(1e-9, hadadMs)
   }
 
-  def b6(spark: SparkSession, tupleRatios: Seq[Double] = Seq(2, 5, 10),
-         nR: Long = 1000, dS: Long = 10, featureRatio: Double = 4): Seq[B6Row] = {
+  def b6(spark: SparkSession): Seq[B6Row] = {
     tune(spark)
-    tupleRatios.flatMap { tr =>
-      val nm = NormalizedMatrix.synthetic(spark, nR, dS, tr, featureRatio)
+    Seq(2.0, 5.0, 10.0).flatMap { tr =>
+      val nm = NormalizedMatrix.synthetic(spark, nR = 1000, dS = 10, tr, featureRatio = 4)
       val nCols = 40L
       val nRight = Gen.dense(spark, nm.cols, nCols, seed = 61)   // N for P1.12
       val xLeft  = Gen.dense(spark, 30, nm.rows, seed = 62)      // X for P2.10
@@ -178,8 +173,9 @@ object Tables {
 
   // --------------------------------------------------------------- B7 (Fig 10)
   /** Twitter hybrid micro-benchmark: Q1–Q10 over three keyword
-    * selectivities, original (full RA + as-stated LA) vs HADAD (view-based
-    * RA via the Catalyst rule's materialized output + rewritten LA).
+    * selectivities, original (full RA + as-stated LA) vs HADAD (RA with the
+    * Catalyst rule reading V2 + rewritten LA). Each route is checked: the
+    * original's RA stage substitutes nothing, HADAD's reads V2.
     */
   final case class HybridRow(query: String, variant: String,
                              origMs: Double, rwMs: Double,
@@ -188,86 +184,88 @@ object Tables {
     def cellSpeedup: Double = origCells.toDouble / math.max(1L, rwCells)
   }
 
-  def b7(spark: SparkSession, keywords: Seq[String] = Seq("covid", "trump", "election"),
-         nT: Long = 1200, h: Long = 200): Seq[HybridRow] = {
+  def b7(spark: SparkSession): Seq[HybridRow] = {
     tune(spark)
+    val (nT, h) = (1200L, 200L)
     val tw  = HybridData.twitter(spark, nUsers = nT / 4, nTweets = nT, nHashtags = h)
-    tw.tweets.cache(); tw.users.cache(); tw.entities.cache()
-    tw.tweets.count(); tw.users.count(); tw.entities.count()
-    val v2dir = java.nio.file.Files.createTempDirectory("b7v2").toString + "/v2"
+    Seq(tw.tweets, tw.users, tw.entities).foreach { df => df.cache(); df.count() }
     ViewSubstitution.install(spark)
     ViewSubstitution.clear()
-    ViewSubstitution.register(HybridData.usEntities(tw), v2dir)
+    ViewSubstitution.register(HybridData.usEntities(tw),
+      java.nio.file.Files.createTempDirectory("b7v2").toString + "/v2")
 
     val shape = HybridQueries.Shape(nT, h)
-    keywords.flatMap { kw =>
+    Seq("covid", "trump", "election").flatMap { kw =>
       HybridQueries.queries.map { case (q, original, _) =>
-        runHybridQuery(spark, q, original, shape,
-          buildM = () => HybridData.twitterM(tw),
-          buildNOrig = () => HybridData.twitterN(tw, kw),
-          buildNView = () => HybridData.twitterN(tw, kw, spark.read.parquet(v2dir)),
-          variant = kw)
+        runHybridQuery(spark, q, original, shape, kw, readsV2 = true)(
+          HybridData.twitterM(tw), HybridData.twitterN(tw, kw))
       }
     }
   }
 
   // --------------------------------------------------------------- B8 (Fig 11)
   /** MIMIC hybrid benchmark: three care units (three N sizes). */
-  def b8(spark: SparkSession, units: Seq[String] = Seq("CCU", "TSICU", "MICU"),
-         nP: Long = 1200, nS: Long = 200): Seq[HybridRow] = {
+  def b8(spark: SparkSession): Seq[HybridRow] = {
     tune(spark)
+    val (nP, nS) = (1200L, 200L)
     val mi = HybridData.mimic(spark, nPatients = nP, nServices = nS)
     mi.patients.cache(); mi.admissions.cache(); mi.callout.cache(); mi.services.cache()
     mi.callout.count()
     val shape = HybridQueries.Shape(nP, nS)
-    units.flatMap { unit =>
+    Seq("CCU", "TSICU", "MICU").flatMap { unit =>
       // The paper re-runs the same Table-7 pipelines; a representative subset
       // keeps the bench under control (full sweep available via b7).
       HybridQueries.queries.filter(q => Seq("Q1", "Q3", "Q4", "Q9").contains(q._1))
         .map { case (q, original, _) =>
-          runHybridQuery(spark, q, original, shape,
-            buildM = () => HybridData.mimicM(mi),
-            buildNOrig = () => HybridData.mimicN(mi, unit),
-            buildNView = () => HybridData.mimicN(mi, unit),
-            variant = unit)
+          runHybridQuery(spark, q, original, shape, unit, readsV2 = false)(
+            HybridData.mimicM(mi), HybridData.mimicN(mi, unit))
         }
     }
   }
 
+  /** Both routes of one hybrid query. Each builds M and N with `ra`: the
+    * original with the view rule taken out of the session's optimizations,
+    * HADAD with it in place, which must then fire if `readsV2`.
+    */
   private def runHybridQuery(spark: SparkSession, q: String, original: Expr,
-                             shape: HybridQueries.Shape,
-                             buildM: () => COOMatrix, buildNOrig: () => COOMatrix,
-                             buildNView: () => COOMatrix, variant: String): HybridRow = {
+                             shape: HybridQueries.Shape, variant: String, readsV2: Boolean)(
+                             ra: => (COOMatrix, COOMatrix)): HybridRow = {
     val meta  = shape.meta(q)
     val views = HybridQueries.views(q)
     val r     = Rewriter.rewrite(original, meta, views = views)
 
-    def laEnv(n: COOMatrix, m: COOMatrix): Exec.Env = {
+    def laEnv(): Exec.Env = {
+      val (m, n) = ra
       val extras = (meta.keySet -- Set("M", "N", "V3", "V4", "V5")).map { name =>
         val mm = meta(name)
         name -> (Exec.MatV(Gen.dense(spark, mm.rows, mm.cols, seed = 500 + name.hashCode)): Exec.EVal)
       }.toMap
-      // LA-stage filter: keep filter-level <= 4 / outcome == 2 analog.
-      val nf = COOMatrix(n.df.filter("v <= 4"), n.rows, n.cols)
+      // LA-stage filter on N's stored cells: filter level <= 4 / outcome analog.
+      val l = n.local
+      val nf = COOMatrix.fromLocal(spark, LocalCOO.of(l.rows, l.cols, l.entries.filter(_._3 <= 4)))
       extras + ("M" -> Exec.MatV(m)) + ("N" -> Exec.MatV(nf))
     }
 
-    // Original: full RA build + as-stated LA.
-    val t0   = System.nanoTime()
-    val mO   = buildM(); val nO = buildNOrig()
-    val envO = laEnv(nO, mO)
-    val orig = Exec.run(original, envO)
+    // Original: full RA build (view rule taken out) + as-stated LA.
+    val h0  = ViewSubstitution.substitutions
+    val t0  = System.nanoTime()
+    val opt = spark.experimental.extraOptimizations
+    spark.experimental.extraOptimizations = opt.filterNot(_ == ViewSubstitution)
+    val envO   = try laEnv() finally spark.experimental.extraOptimizations = opt
+    val orig   = Exec.run(original, envO)
     val origMs = (System.nanoTime() - t0) / 1e6
+    val h1     = ViewSubstitution.substitutions
 
-    // HADAD: view-based RA + rewritten LA over materialized LA views.
-    val t1   = System.nanoTime()
-    val mR   = buildM(); val nR = buildNView()
-    val envR0 = laEnv(nR, mR)
-    val (envR, _) = Harness.withViews(envR0, views, meta)
-    val rw   = Exec.run(r.best, envR)
+    // HADAD: RA through the view rule + rewritten LA over materialized LA views.
+    val t1 = System.nanoTime()
+    val (envR, _) = Harness.withViews(laEnv(), views, meta)
+    val rw   = Exec.run(r.chosen, envR)
     val rwMs = (System.nanoTime() - t1) / 1e6
 
-    Harness.sanity(s"$q/$variant (${r.best.render})", orig, rw)
+    require(h1 == h0, s"$q/$variant: the original route substituted a view ${h1 - h0} times")
+    require(!readsV2 || ViewSubstitution.substitutions > h1,
+            s"$q/$variant: the view rule did not replace N's US-entities part by V2")
+    Harness.sanity(s"$q/$variant (${r.chosen.render})", orig, rw)
     HybridRow(q, variant, origMs, rwMs, orig.totalCells, rw.totalCells)
   }
 
@@ -277,9 +275,9 @@ object Tables {
     def overheadPct: Double = 100.0 * findMs / (findMs + execMs)
   }
 
-  def b9(spark: SparkSession, sizes: Seq[Long] = Seq(500, 2000)): Seq[B9Row] = {
+  def b9(spark: SparkSession): Seq[B9Row] = {
     tune(spark)
-    sizes.flatMap { nR =>
+    Seq(500L, 2000L).flatMap { nR =>
       val nm   = NormalizedMatrix.synthetic(spark, nR, 10, tupleRatio = 4, featureRatio = 4)
       val meta = Map(
         "M" -> Meta.dense(nm.rows, nm.cols),

@@ -26,10 +26,11 @@ object HybridData {
 
   /** Deterministic Twitter-like tables. Keyword frequencies mirror the
     * paper's three selectivities: covid ≈ 40%, trump ≈ 20%, election ≈ 10%
-    * of the ~30% US tweets.
+    * of the ~30% US tweets. Each tweet draws 3 hashtags; a repeat counts once.
     */
   def twitter(spark: SparkSession, nUsers: Long, nTweets: Long, nHashtags: Long,
-              entitiesPerTweet: Int = 3, seed: Long = 77): Twitter = {
+              seed: Long = 77): Twitter = {
+    val entitiesPerTweet = 3
     val users = spark.range(nUsers).select(
       col("id") as "u_id",
       (rand(seed) * 10000).cast("double")     as "followers_count",
@@ -68,15 +69,13 @@ object HybridData {
     wideToCoo(joined, "t_id", TweetFeatures ++ UserFeatures, t.nTweets)
   }
 
-  /** RA stage, matrix N: tweet-hashtag filter-level matrix for tweets from
-    * `country` mentioning `kw` (the paper's §2 preprocessing query).
-    * `entitySource` defaults to the raw entities table; pass a materialized
-    * view's frame to reuse preprocessing work.
+  /** RA stage, matrix N: tweet-hashtag filter-level matrix for US tweets
+    * mentioning `kw` (the paper's §2 preprocessing query). With V2
+    * registered, the Catalyst rule reads the `usEntities` part from it.
     */
-  def twitterN(t: Twitter, kw: String, entitySource: DataFrame = null): COOMatrix = {
-    val src = Option(entitySource).getOrElse(usEntities(t))
+  def twitterN(t: Twitter, kw: String): COOMatrix = {
     val kwTweets = t.tweets.filter(col("kw") === kw).select("t_id")
-    val df = src.join(kwTweets, "t_id")
+    val df = usEntities(t).join(kwTweets, "t_id")
       .select(col("t_id") as "i", col("h_id") as "j", col("filter_level") as "v")
     matrix(df, t.nTweets, t.nHashtags)
   }
@@ -98,10 +97,11 @@ object HybridData {
   val AdmissionFeatures: Seq[String] = (1 to 6).map(i => s"af$i")
 
   /** Deterministic MIMIC-like tables; care-unit frequencies mirror the
-    * paper's three N sizes: CCU ≈ 40%, TSICU ≈ 20%, MICU ≈ 10%.
+    * paper's three N sizes: CCU ≈ 40%, TSICU ≈ 20%, MICU ≈ 10%. Each
+    * patient has 3 callouts.
     */
-  def mimic(spark: SparkSession, nPatients: Long, nServices: Long,
-            calloutsPerPatient: Int = 3, seed: Long = 99): Mimic = {
+  def mimic(spark: SparkSession, nPatients: Long, nServices: Long): Mimic = {
+    val (calloutsPerPatient, seed) = (3, 99L)
     def feats(prefix: String, n: Int, s: Long) =
       (1 to n).map(i => (rand(s + i) * 100).cast("double") as s"$prefix$i")
     val patients = spark.range(nPatients).select(

@@ -76,12 +76,12 @@ object NormalizedMatrix {
 
   /** Synthetic PK-FK pair in the paper's §9.2.1 setup: `tupleRatio` =
     * nS/nR, `featureRatio` = dR/dS; K assigns each S-row a dimension row
-    * uniformly. Deterministic in `seed`.
+    * uniformly. Deterministic.
     */
   def synthetic(spark: org.apache.spark.sql.SparkSession,
-                nR: Long, dS: Long, tupleRatio: Double, featureRatio: Double,
-                seed: Long = 21): NormalizedMatrix = {
+                nR: Long, dS: Long, tupleRatio: Double, featureRatio: Double): NormalizedMatrix = {
     import org.apache.spark.sql.functions._
+    val seed = 21L
     val nS = (nR * tupleRatio).toLong
     val dR = (dS * featureRatio).toLong
     val s  = repro.matrix.Gen.dense(spark, nS, dS, seed)

@@ -40,16 +40,6 @@ class HybridSpec extends SparkSpec {
       "entities" -> tw.entities, "tweets" -> tw.tweets)
   }
 
-  test("RA stage: building N from the materialized US view gives the same N") {
-    val dir  = java.nio.file.Files.createTempDirectory("v2").toString
-    val v2   = HybridData.usEntities(tw)
-    v2.write.mode("overwrite").parquet(dir)
-    val nDirect  = HybridData.twitterN(tw, "covid")
-    val nViaView = HybridData.twitterN(tw, "covid", spark.read.parquet(dir))
-    assert(breeze.linalg.max(breeze.numerics.abs(
-      nDirect.local.values - nViaView.local.values)) < 1e-12)
-  }
-
   test("Catalyst rule substitutes an exactly-matching optimized subtree") {
     val dir = java.nio.file.Files.createTempDirectory("vsub").toString + "/v2"
     ViewSubstitution.install(spark)

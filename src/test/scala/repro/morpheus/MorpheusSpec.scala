@@ -98,4 +98,22 @@ class MorpheusSpec extends SparkSpec {
     val r2 = Rewriter.rewrite(ColSums(Mul(Mat("M"), Mat("N"))), meta, views = Seq(v4))
     assert(!r2.best.render.contains("V4"), r2.best.render)
   }
+
+  test("B6's P1.12 HADAD route is the plan the catalog finds from S, K, R and N") {
+    import repro.core._
+    // B6's dims at tuple ratio 2: nR = 1000, dS = 10, dR = 40, nS = 2000,
+    // K with one non-zero per S-row, and N with 40 columns.
+    val meta = Map(
+      "S" -> Meta.dense(2000, 10),
+      "K" -> Meta.sparse(2000, 1000, 2000),
+      "R" -> Meta.dense(1000, 40),
+      "N" -> Meta.dense(50, 40),
+    )
+    val p112 = ColSums(Mul(CBind(Mat("S"), Mul(Mat("K"), Mat("R"))), Mat("N")))
+    for (est <- Seq[() => Estimator](() => NaiveEstimator, () => new MNCEstimator)) {
+      val r = Rewriter.rewrite(p112, meta, cfg = Rewriter.Config(estimator = est))
+      // `nm.colSumsF · N`, as `Tables.b6` writes it.
+      assert(r.chosen.render == "(cbind(colSums(S),(colSums(K) R)) N)", r.chosen.render)
+    }
+  }
 }
