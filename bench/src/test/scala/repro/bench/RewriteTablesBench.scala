@@ -16,7 +16,7 @@ class RewriteTablesBench extends AnyFunSuite {
     println(f"${"pipeline"}%-7s ${"γ(orig)"}%12s ${"γ(found)"}%12s  found  |  paper")
     for (id <- ids) {
       val e = Pipelines.byId(id)
-      val r = Rewriter.rewrite(e, Pipelines.metaFor(id), views = views)
+      val r = Rewriter.rewrite(e, Tables.b3MetaFor(id), views = views)
       println(f"$id%-7s ${r.originalCost}%12.0f ${r.bestCost}%12.0f  " +
               s"${r.best.render}  |  ${expected(id).render}")
     }

@@ -6,9 +6,6 @@ import repro.core.Rewriter.View
 /** The paper's workload catalogs.
   *
   *  - [[p1]] / [[p2]]: the 57-pipeline LA benchmark (Tables 2–3),
-  *  - [[meta]] / [[metaOverrides]]: the matrix bindings of Table 6, scaled
-  *    down (synthetic substitutes for the real datasets of Tables 4–5 with
-  *    the same shape/sparsity character — DESIGN.md §4),
   *  - [[noViewsExpected]]: the rewrites HADAD is reported to find without
   *    views (Tables 12–13),
   *  - [[vexp]] / [[viewsExpected]]: the view set V_exp (Table 14) and the
@@ -28,34 +25,6 @@ object Pipelines {
   private val R = Mat("R"); private val X = Mat("X")
   private val u1 = Mat("u1"); private val v1 = Mat("v1"); private val v2 = Mat("v2")
   private val s1 = Sca("s1"); private val s2 = Sca("s2")
-
-  // ------------------------------------------------- bindings (Table 6, scaled)
-  /** Bench-scale dims: M 2000x60 (paper 50Kx100), A/B 8000x60 (paper 1Mx100),
-    * C/D 300x300 (paper 10Kx10K), X 2000x1200 sparse (paper 100Kx50K).
-    */
-  val meta: Map[String, Meta] = Map(
-    "M"  -> Meta.dense(2000, 60),
-    "N"  -> Meta.dense(60, 2000),
-    "A"  -> Meta.sparse(8000, 60, 2400),
-    "B"  -> Meta.dense(8000, 60),
-    "C"  -> Meta.dense(300, 300),
-    "D"  -> Meta.dense(300, 300),
-    "R"  -> Meta.dense(60, 60),
-    "X"  -> Meta.sparse(2000, 1200, 7200),
-    "u1" -> Meta.dense(2000, 1),
-    "v1" -> Meta.dense(60, 1),
-    "v2" -> Meta.dense(1200, 1),
-  )
-
-  /** Per-pipeline dimension overrides (the paper's Table 6 is not globally
-    * dimension-consistent either; e.g. P2.21 needs v1 compatible with D).
-    */
-  val metaOverrides: Map[String, Map[String, Meta]] = Map(
-    "P2.21" -> Map("v1" -> Meta.dense(300, 1)),
-  )
-
-  def metaFor(id: String): Map[String, Meta] =
-    meta ++ metaOverrides.getOrElse(id, Map.empty)
 
   // ---------------------------------------------------------- Table 2 (P1.*)
   val p1: Vector[(String, Expr)] = Vector(

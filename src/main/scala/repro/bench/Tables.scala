@@ -3,7 +3,7 @@ package repro.bench
 import org.apache.spark.sql.SparkSession
 import scala.collection.mutable
 import repro.core._
-import repro.matrix.{COOMatrix, Exec, Gen, LocalCOO, Ops}
+import repro.matrix.{COOMatrix, Exec, Gen, LocalCOO}
 import repro.morpheus.NormalizedMatrix
 import repro.hybrid.{HybridData, HybridQueries, ViewSubstitution}
 
@@ -54,7 +54,11 @@ object Tables {
           _ => Map("M" -> Meta.dense(600, 30), "N" -> Meta.dense(30, 600)))
 
   // ---------------------------------------------------------------- B3 (Fig 8)
-  /** Speedup distribution over all P^¬Opt pipelines (reduced dims). */
+  /** Speedup distribution over all P^¬Opt pipelines. `b3Meta` holds the
+    * matrix bindings of Table 6, scaled down (synthetic substitutes for the
+    * real datasets of Tables 4–5 with the same shape/sparsity character —
+    * DESIGN.md §4); the rewriter's tests and perfbench read them too.
+    */
   def b3Meta: Map[String, Meta] = Map(
     "M"  -> Meta.dense(600, 30), "N" -> Meta.dense(30, 600),
     "A"  -> Meta.sparse(2000, 30, 600), "B" -> Meta.dense(2000, 30),
@@ -64,6 +68,9 @@ object Tables {
     "v2" -> Meta.dense(400, 1),
   )
 
+  /** [[b3Meta]], with v1 compatible with D for P2.21 (Table 6 is not
+    * globally dimension-consistent).
+    */
   def b3MetaFor(id: String): Map[String, Meta] =
     if (id == "P2.21") b3Meta + ("v1" -> Meta.dense(150, 1)) else b3Meta
 
@@ -112,62 +119,37 @@ object Tables {
 
   def b6(spark: SparkSession): Seq[B6Row] = {
     tune(spark)
+    import NormalizedMatrix.{colSums, leftMul, materialized, rightMul, rowSums, sum}
+    val (n, x) = (Mat("N"), Mat("X"))
     Seq(2.0, 5.0, 10.0).flatMap { tr =>
-      val nm = NormalizedMatrix.synthetic(spark, nR = 1000, dS = 10, tr, featureRatio = 4)
-      val nCols = 40L
-      val nRight = Gen.dense(spark, nm.cols, nCols, seed = 61)   // N for P1.12
+      val nm     = NormalizedMatrix.synthetic(spark, nR = 1000, dS = 10, tr, featureRatio = 4)
+      val nRight = Gen.dense(spark, nm.cols, 40, seed = 61)      // N for P1.12
       val xLeft  = Gen.dense(spark, 30, nm.rows, seed = 62)      // X for P2.10
       val nAdd   = Gen.dense(spark, nm.rows, nm.cols, seed = 63) // N for P2.11
 
-      var work = 0L
-      val persisted = scala.collection.mutable.ArrayBuffer[COOMatrix]()
-      implicit val probe: repro.morpheus.Probe = new repro.morpheus.Probe {
-        override def step(out: COOMatrix): COOMatrix = {
-          out.df.persist(org.apache.spark.storage.StorageLevel.MEMORY_AND_DISK)
-          persisted += out
-          work += out.nnz
-          out
-        }
-        override def product(a: COOMatrix, b: COOMatrix): COOMatrix = {
-          work += Ops.multiplyPairs(a, b)
-          step(Ops.multiply(a, b))
-        }
-      }
       // Warm run first (JIT + caches), then the measured run.
-      def route(f: => Unit): (Long, Double) = {
-        def once(): Double = {
-          work = 0L
-          val t0 = System.nanoTime()
-          f
-          val ms = (System.nanoTime() - t0) / 1e6
-          persisted.foreach(_.df.unpersist(blocking = false)); persisted.clear()
-          ms
-        }
-        once()
-        val ms = once()
-        (work, ms)
+      def route(e: Expr, env: Exec.Env): (Long, Double) = {
+        Exec.run(e, env)
+        val r = Exec.run(e, env)
+        (r.steps.map(st => st.cells + st.pairs).sum, r.wallMillis)
       }
-
-      val rows = Seq.newBuilder[B6Row]
-      // P1.12 colSums(MN): Morpheus pushes the multiplication; HADAD enables
-      // the colSums pushdown instead (the §2 headline example).
-      val (c1m, t1m) = route { probe.step(Ops.colSums(nm.rightMul(nRight))); () }
-      val (c1h, t1h) = route { probe.product(nm.colSumsF, nRight); () }
-      rows += B6Row("P1.12", tr, c1m, c1h, t1m, t1h)
-      // P2.10 rowSums(XM) vs X·rowSums(M).
-      val (c2m, t2m) = route { probe.step(Ops.rowSums(nm.leftMul(xLeft))); () }
-      val (c2h, t2h) = route { probe.product(xLeft, nm.rowSumsF); () }
-      rows += B6Row("P2.10", tr, c2m, c2h, t2m, t2h)
-      // P2.11 sum(N+M): Morpheus materializes M and the addition; HADAD
-      // distributes the sum and pushes it into the factorized form.
-      val (c3m, t3m) = route { Ops.sumAll(probe.step(Ops.add(nAdd, nm.materializeP))); () }
-      val (c3h, t3h) = route { Ops.sumAll(nAdd) + nm.sumF; () }
-      rows += B6Row("P2.11", tr, c3m, c3h, t3m, t3h)
-      // P2.15 sum(rowSums(M)): Morpheus pushes rowSums; HADAD pushes sum.
-      val (c4m, t4m) = route { Ops.sumAll(nm.rowSumsF); () }
-      val (c4h, t4h) = route { nm.sumF; () }
-      rows += B6Row("P2.15", tr, c4m, c4h, t4m, t4h)
-      rows.result()
+      def row(id: String, leaves: Exec.Env, morpheus: Expr, hadad: Expr): B6Row = {
+        val env = nm.env ++ leaves
+        val ((cm, tm), (ch, th)) = (route(morpheus, env), route(hadad, env))
+        B6Row(id, tr, cm, ch, tm, th)
+      }
+      Seq(
+        // P1.12 colSums(MN): Morpheus pushes the multiplication; HADAD enables
+        // the colSums pushdown instead (the §2 headline example).
+        row("P1.12", nm.split(nRight) + ("N" -> Exec.MatV(nRight)), ColSums(rightMul), Mul(colSums, n)),
+        // P2.10 rowSums(XM) vs X·rowSums(M).
+        row("P2.10", Map("X" -> Exec.MatV(xLeft)), RowSums(leftMul(x)), Mul(x, rowSums)),
+        // P2.11 sum(N+M): Morpheus materializes M and the addition; HADAD
+        // distributes the sum and pushes it into the factorized form.
+        row("P2.11", Map("N" -> Exec.MatV(nAdd)), Sum(Add(n, materialized)), SAdd(Sum(n), sum)),
+        // P2.15 sum(rowSums(M)): Morpheus pushes rowSums; HADAD pushes sum.
+        row("P2.15", Map.empty, Sum(rowSums), sum),
+      )
     }
   }
 
@@ -277,6 +259,8 @@ object Tables {
 
   def b9(spark: SparkSession): Seq[B9Row] = {
     tune(spark)
+    import NormalizedMatrix.{colSums, rowSums, sum}
+    val (m, n, x) = (Mat("M"), Mat("N"), Mat("X"))
     Seq(500L, 2000L).flatMap { nR =>
       val nm   = NormalizedMatrix.synthetic(spark, nR, 10, tupleRatio = 4, featureRatio = 4)
       val meta = Map(
@@ -284,16 +268,15 @@ object Tables {
         "N" -> Meta.dense(nm.cols, 40),
         "X" -> Meta.dense(30, nm.rows),
       )
-      def find(e: Expr): Double = Rewriter.rewrite(e, meta).findMillis
-      def timed(f: => Unit): Double = {
-        val t = System.nanoTime(); f; (System.nanoTime() - t) / 1e6
-      }
+      val env = nm.env + ("N" -> Exec.MatV(Gen.dense(spark, nm.cols, 40, 61))) +
+        ("X" -> Exec.MatV(Gen.dense(spark, 30, nm.rows, 62)))
+      // Each pipeline as stated over M, and HADAD's factorized route.
+      def row(id: String, e: Expr, route: Expr): B9Row =
+        B9Row(id, nR, Rewriter.rewrite(e, meta).findMillis, Exec.run(route, env).wallMillis)
       Seq(
-        B9Row("P1.12", nR, find(ColSums(Mul(Mat("M"), Mat("N")))),
-              timed { Ops.multiply(nm.colSumsF, Gen.dense(spark, nm.cols, 40, 61)).nnz; () }),
-        B9Row("P2.10", nR, find(RowSums(Mul(Mat("X"), Mat("M")))),
-              timed { Ops.multiply(Gen.dense(spark, 30, nm.rows, 62), nm.rowSumsF).nnz; () }),
-        B9Row("P2.15", nR, find(Sum(RowSums(Mat("M")))), timed { nm.sumF; () }),
+        row("P1.12", ColSums(Mul(m, n)), Mul(colSums, n)),
+        row("P2.10", RowSums(Mul(x, m)), Mul(x, rowSums)),
+        row("P2.15", Sum(RowSums(m)), sum),
       )
     }
   }

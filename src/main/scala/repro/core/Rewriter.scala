@@ -12,17 +12,19 @@ object Rewriter {
   final case class Config(
       estimator: () => Estimator          = () => NaiveEstimator,
       constraints: Seq[Constraint]        = Catalog.all,
-      maxRounds: Int                      = 4,
-      maxFacts: Int                       = 5000,
-      /** Wall-clock budget for the chase; exceeded ⇒ extract from whatever
-        * has been derived so far (still sound — only completeness degrades).
-        */
-      deadlineMillis: Long                = 15000,
       /** Matrix name → type tag ("S" symmetric-PD, "L", "U", "O"). */
       types: Map[String, String]          = Map.empty,
       /** Morpheus declarations: (M, S, K, R) with M = cbind(S, K·R). */
       norms: Seq[(String, String, String, String)] = Nil,
-  )
+  ) {
+    /** The chase's budgets: rounds, facts, and wall clock. Past the deadline
+      * the rewriter extracts from whatever has been derived so far (still
+      * sound — only completeness degrades).
+      */
+    val maxRounds: Int       = 4
+    val maxFacts: Int        = 5000
+    val deadlineMillis: Long = 15000
+  }
 
   final case class Result(
       original: Expr,
@@ -32,9 +34,10 @@ object Rewriter {
       findMillis: Double,
       stats: Chase.Stats,
   ) {
-    def improved: Boolean = bestCost < originalCost - 1e-9
-    /** What HADAD hands to the engine: the rewriting iff it is cheaper. */
-    def chosen: Expr = if (improved || best.render != original.render) best else original
+    /** What HADAD hands to the engine: the cheapest plan found, which is the
+      * original when nothing cheaper was found.
+      */
+    def chosen: Expr = best
   }
 
   /** Rewrite `e` given base-matrix metadata and materialized views. */

@@ -42,9 +42,9 @@ trait Kernels[M] {
 
 /** "As stated" evaluation of a pipeline on any engine: the only
   * per-operator match below the optimizer. It evaluates children in
-  * syntactic order and hands every operator node's value to `after`, where
-  * an engine materializes or records it. One scalar/matrix rule holds for
-  * every engine:
+  * syntactic order and hands every operator node, with its input values and
+  * its value, to `after`, where an engine materializes or records it. One
+  * scalar/matrix rule holds for every engine:
   *  - an operator whose inputs are all scalars yields a scalar (`t(s) = s`,
   *    `cho(s) = √s`, …), except `cbind`, whose result is 1×2;
   *  - otherwise a matrix operator lifts each scalar input to 1×1;
@@ -54,7 +54,8 @@ trait Kernels[M] {
 object Eval {
 
   def apply[M](e: Expr, env: Map[String, Val[M]], k: Kernels[M],
-               after: (Node, Val[M]) => Val[M] = (_: Node, v: Val[M]) => v): Val[M] = {
+               after: (Node, Seq[Val[M]], Val[M]) => Val[M] =
+                 (_: Node, _: Seq[Val[M]], v: Val[M]) => v): Val[M] = {
     def num(v: Val[M]): Double = v.fold(identity, k.scalar)
     def mat(v: Val[M]): M      = v.fold(k.lift, identity)
     def map(v: Val[M])(s: Double => Double, f: M => M): Val[M] =
@@ -100,7 +101,7 @@ object Eval {
       case Mat(n)  => env.getOrElse(n, sys.error(s"unbound matrix '$n'"))
       case Sca(n)  => Val.Sca(num(env.getOrElse(n, sys.error(s"unbound scalar '$n'"))))
       case Lit(v)  => Val.Sca(v)
-      case n: Node => after(n, node(n, n.children.map(rec)))
+      case n: Node => val in = n.children.map(rec); after(n, in, node(n, in))
     }
     rec(e)
   }

@@ -15,8 +15,8 @@ import repro.core._
   * what makes intermediate-result size (the quantity HADAD's cost model
   * optimizes) the dominant cost on this substrate too. A local operator's
   * output is already in memory and keeps the same stored cells, so the run
-  * records the same deterministic metric, total materialized cells, under
-  * any placement.
+  * records the same deterministic metrics, materialized cells and multiply
+  * pairs per node, under any placement.
   */
 object Exec {
 
@@ -34,8 +34,10 @@ object Exec {
     */
   val LocalWork: Double = (1 << 22).toDouble
 
-  /** One operator node: its VREM relation and its output's cells (1 for a scalar). */
-  final case class Step(op: String, cells: Long)
+  /** One operator node: its VREM relation, its output's cells (1 for a
+    * scalar) and, for a product of two matrices, its scalar products a·b.
+    */
+  final case class Step(op: String, cells: Long, pairs: Long = 0L)
 
   final case class Result(value: EVal, steps: Vector[Step], wallMillis: Double) {
     /** Total materialized intermediate cells — the deterministic bench metric. */
@@ -62,14 +64,18 @@ object Exec {
     val steps     = Vector.newBuilder[Step]
     val persisted = scala.collection.mutable.ArrayBuffer[COOMatrix]()
 
-    def materialize(n: Node, v: EVal): EVal = {
-      steps += Step(n.rel, v.fold(_ => 1L, { m =>
+    def materialize(n: Node, in: Seq[EVal], v: EVal): EVal = {
+      val cells = v.fold(_ => 1L, { m =>
         if (!m.isLocal) {
           m.df.persist(StorageLevel.MEMORY_AND_DISK)
           persisted += m
         }
         m.nnz
-      }))
+      })
+      steps += Step(n.rel, cells, (n, in) match {
+        case (_: Mul, Seq(MatV(a), MatV(b))) => pairs(a, b)
+        case _                               => 0L
+      })
       v
     }
 
@@ -81,6 +87,16 @@ object Exec {
       persisted.foreach(_.df.unpersist(blocking = false))
     }
   }
+
+  /** Scalar products of a·b, Σ_k (a's stored cells in column k)·(b's in
+    * row k): from the stored patterns when both are in driver memory, else
+    * by a Spark job.
+    */
+  private def pairs(a: COOMatrix, b: COOMatrix): Long =
+    if (a.isLocal && b.isLocal) {
+      val D = LocalExec.Dense
+      D.scalar(D.multiply(D.colSums(a.local.stored), D.rowSums(b.local.stored))).toLong
+    } else Ops.multiplyPairs(a, b)
 
   /** Each data-parallel kernel call on [[LocalCOO]] when `local` holds for
     * its dense work, else on [[Ops]]; the Breeze-only kernels, `lift` and

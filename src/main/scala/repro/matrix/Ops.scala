@@ -3,8 +3,8 @@ package repro.matrix
 import org.apache.spark.sql.DataFrame
 import org.apache.spark.sql.functions._
 
-/** The data-parallel kernels over [[COOMatrix]] on Spark: the ones
-  * [[Exec]] places on Spark, plus the Morpheus and B6/B9 code's own calls.
+/** The data-parallel kernels over [[COOMatrix]] on Spark, which [[Exec]]
+  * places on Spark, and the pair count it records for such a product.
   *
   * Each is a DataFrame join or aggregation, so it runs through Catalyst.
   * Inverse, determinant, Cholesky, element-exp and the scalar/1×1
@@ -85,9 +85,10 @@ object Ops {
     COOMatrix(a.df.unionByName(shifted), a.rows, a.cols + b.cols)
   }
 
-  /** Number of scalar products a·b performs (join-pair count) — the
-    * deterministic compute metric used by the Morpheus benchmark, where the
-    * paper's gains are flop-bound rather than output-size-bound.
+  /** Number of scalar products a·b performs (join-pair count), which
+    * `Exec.Step.pairs` records when an operand is not in driver memory. B6
+    * adds it to the cells as its work metric: the paper's Morpheus gains are
+    * flop-bound rather than output-size-bound.
     */
   def multiplyPairs(a: COOMatrix, b: COOMatrix): Long = {
     val ac = a.df.groupBy("j").count().select(col("j") as "k", col("count") as "ca")

@@ -2,7 +2,7 @@ package repro.core
 
 import org.scalatest.funsuite.AnyFunSuite
 import repro.TestEnvs
-import repro.bench.Pipelines
+import repro.bench.{Pipelines, Tables}
 
 /** The MNC-based cost model (§7.2.2) drives the rewriter over all 57
   * pipelines: the chosen rewriting is never worse than the original under
@@ -15,7 +15,7 @@ class MNCRewriteSpec extends AnyFunSuite {
 
   for ((id, e) <- Pipelines.all) {
     test(s"$id: MNC-driven rewrite is sound and not worse") {
-      val m = Pipelines.metaFor(id)
+      val m = Tables.b3MetaFor(id)
       val r = Rewriter.rewrite(e, m, cfg = mncConfig)
       assert(r.bestCost <= r.originalCost + 1e-6,
              s"${r.best.render} γ=${r.bestCost} vs original γ=${r.originalCost}")

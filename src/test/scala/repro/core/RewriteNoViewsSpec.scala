@@ -2,7 +2,7 @@ package repro.core
 
 import org.scalatest.funsuite.AnyFunSuite
 import repro.TestEnvs
-import repro.bench.Pipelines
+import repro.bench.{Pipelines, Tables}
 
 /** Reproduces Tables 12–13: for every P^¬Opt pipeline, HADAD (no views) must
   * find a rewriting that is (a) numerically equivalent to the original and
@@ -15,7 +15,7 @@ class RewriteNoViewsSpec extends AnyFunSuite {
   for (id <- Pipelines.notOptIds) {
     test(s"$id: finds a rewrite at least as good as the paper's (no views)") {
       val e        = Pipelines.byId(id)
-      val m        = Pipelines.metaFor(id)
+      val m        = Tables.b3MetaFor(id)
       val expected = Pipelines.noViewsExpected(id)
       val r        = Rewriter.rewrite(e, m)
       val expectedCost = CostModel.gamma(expected, m.get, NaiveEstimator).cost
@@ -46,7 +46,7 @@ class RewriteNoViewsSpec extends AnyFunSuite {
 
   for ((id, render) <- exact) {
     test(s"$id: exact rewrite shape is ${render}") {
-      val r = Rewriter.rewrite(Pipelines.byId(id), Pipelines.metaFor(id))
+      val r = Rewriter.rewrite(Pipelines.byId(id), Tables.b3MetaFor(id))
       assert(r.best.render == render, s"got ${r.best.render}")
     }
   }
@@ -54,7 +54,7 @@ class RewriteNoViewsSpec extends AnyFunSuite {
   for (id <- Pipelines.optIds) {
     test(s"$id: already-optimal pipeline is never made worse") {
       val e = Pipelines.byId(id)
-      val m = Pipelines.metaFor(id)
+      val m = Tables.b3MetaFor(id)
       val r = Rewriter.rewrite(e, m)
       assert(r.bestCost <= r.originalCost + 1e-6)
       val env = TestEnvs.localEnv(m, seed = 7)

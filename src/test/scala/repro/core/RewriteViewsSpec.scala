@@ -2,7 +2,7 @@ package repro.core
 
 import org.scalatest.funsuite.AnyFunSuite
 import repro.TestEnvs
-import repro.bench.Pipelines
+import repro.bench.{Pipelines, Tables}
 
 /** Reproduces Table 15: every P^Views pipeline, rewritten against the view
   * set V_exp (Table 14), must use materialized views at least as profitably
@@ -16,7 +16,7 @@ class RewriteViewsSpec extends AnyFunSuite {
   for (id <- Pipelines.viewsIds) {
     test(s"$id: view-based rewrite at least as good as the paper's") {
       val e        = Pipelines.byId(id)
-      val m        = Pipelines.metaFor(id)
+      val m        = Tables.b3MetaFor(id)
       val expected = Pipelines.viewsExpected(id)
       val r        = Rewriter.rewrite(e, m, views = Pipelines.vexp)
       val expectedCost = CostModel.gamma(expected, viewMeta(m).get, NaiveEstimator).cost
@@ -40,14 +40,14 @@ class RewriteViewsSpec extends AnyFunSuite {
 
   for ((id, render) <- exact) {
     test(s"$id: exact view rewrite is $render") {
-      val r = Rewriter.rewrite(Pipelines.byId(id), Pipelines.metaFor(id),
+      val r = Rewriter.rewrite(Pipelines.byId(id), Tables.b3MetaFor(id),
                                views = Pipelines.vexp)
       assert(r.best.render == render, s"got ${r.best.render}")
     }
   }
 
   test("P2.21 (OLS): the inverse disappears in favor of V1") {
-    val r = Rewriter.rewrite(Pipelines.byId("P2.21"), Pipelines.metaFor("P2.21"),
+    val r = Rewriter.rewrite(Pipelines.byId("P2.21"), Tables.b3MetaFor("P2.21"),
                              views = Pipelines.vexp)
     assert(!r.best.render.contains("inv("), r.best.render)
     assert(r.best.render.contains("V1"), r.best.render)

@@ -81,7 +81,7 @@ class ExecSpec extends SparkSpec {
 
   test("Result.steps has one entry per operator node") {
     val r = Exec.run(SAdd(Sum(Mul(m, n)), Trace(c)), envSpark)
-    assert(r.steps == Vector(Exec.Step("multi_M", 24 * 24), Exec.Step("sum", 1),
+    assert(r.steps == Vector(Exec.Step("multi_M", 24 * 24, 24 * 6 * 24), Exec.Step("sum", 1),
                              Exec.Step("trace", 1), Exec.Step("add_S", 1)))
   }
 
@@ -120,6 +120,20 @@ class ExecSpec extends SparkSpec {
     val leaf = env("M").fold(_ => fail("M is a matrix"), identity)
     intercept[IllegalArgumentException](Exec.run(m, env).scalar)
     assert(!leaf.isLocal)
+  }
+
+  test("Step.pairs of a product equals Ops.multiplyPairs, placed locally or on Spark") {
+    // N is dense, so P·N pairs each stored cell of P with N's 24 columns.
+    val want = 24L * envB("P").activeValuesIterator.count(_ != 0.0)
+    for (place <- Seq[Place](_ => true, _ => false)) {
+      val env = cold(envB)
+      def leaf(name: String) = env(name).fold(_ => fail(s"$name is a matrix"), identity)
+      val r = Exec.run(Mul(p, n), env, place)
+      assert(r.steps.map(_.pairs) == Vector(want))
+      assert(Ops.multiplyPairs(leaf("P"), leaf("N")) == want)
+      // A scalar operand makes a scalar multiply: no pairs.
+      assert(Exec.run(Mul(Sum(v), m), env, place).steps.map(_.pairs) == Vector(0L, 0L))
+    }
   }
 
   /** Spark values with no local copy, so that a local node must collect them. */

@@ -1,22 +1,35 @@
 package repro.morpheus
 
 import repro.SparkSpec
-import repro.matrix.{COOMatrix, Gen, Ops}
+import repro.core._
+import repro.matrix.{COOMatrix, Exec, Gen, Ops}
+import repro.morpheus.NormalizedMatrix.{colSums, leftMul, materialized, rightMul, rowSums, sum}
 
-/** Factorized Morpheus operators agree with their materialized equivalents,
-  * and the HADAD-enabled factorized forms (colSums/rowSums/sum pushdown)
-  * agree with the multiplication-pushdown forms they replace (§2, §9.2.1).
+/** Factorized Morpheus plans agree, run through `Exec`, with their
+  * materialized equivalents, and the HADAD-enabled factorized forms
+  * (colSums/rowSums/sum pushdown) agree with the multiplication-pushdown
+  * forms they replace (§2, §9.2.1).
   */
 class MorpheusSpec extends SparkSpec {
 
   private lazy val nm = NormalizedMatrix.synthetic(spark, nR = 40, dS = 5,
                                                    tupleRatio = 4, featureRatio = 2)
-  private lazy val m  = nm.materialize
+  private lazy val m  = mat(Exec.run(materialized, nm.env).value)
 
-  private def diff(a: COOMatrix, b: COOMatrix): Double = {
-    assert(a.rows == b.rows && a.cols == b.cols, s"${a.rows}x${a.cols} vs ${b.rows}x${b.cols}")
-    breeze.linalg.max(breeze.numerics.abs(a.local.values - b.local.values))
+  /** `e` run by `Exec` over S, K, R, the materialized M, and `extra`. */
+  private def run(e: Expr, extra: Exec.Env = Map.empty): Exec.EVal =
+    Exec.run(e, nm.env ++ extra + ("M" -> Exec.MatV(m))).value
+  private def bind(name: String, x: COOMatrix): Exec.Env = Map(name -> Exec.MatV(x))
+  private def mat(v: Exec.EVal): COOMatrix = v.fold(x => fail(s"scalar $x"), identity)
+  private def num(v: Exec.EVal): Double    = v.fold(identity, x => fail(s"matrix ${x.rows}x${x.cols}"))
+
+  private def diff(a: Exec.EVal, b: Exec.EVal): Double = {
+    val (x, y) = (mat(a), mat(b))
+    assert(x.rows == y.rows && x.cols == y.cols, s"${x.rows}x${x.cols} vs ${y.rows}x${y.cols}")
+    breeze.linalg.max(breeze.numerics.abs(x.local.values - y.local.values))
   }
+
+  private val (mM, nN, xX) = (Mat("M"), Mat("N"), Mat("X"))
 
   test("synthetic PK-FK shapes: M = [S, K·R]") {
     assert(nm.rows == 160 && nm.cols == 15)
@@ -28,53 +41,50 @@ class MorpheusSpec extends SparkSpec {
 
   test("rightMul factorized == materialized M·N") {
     val n = Gen.dense(spark, nm.cols, 7, seed = 31)
-    assert(diff(nm.rightMul(n), Ops.multiply(m, n)) < 1e-9)
+    assert(diff(run(rightMul, nm.split(n)), run(Mul(mM, nN), bind("N", n))) < 1e-9)
   }
 
   test("leftMul factorized == materialized X·M") {
     val x = Gen.dense(spark, 6, nm.rows, seed = 32)
-    assert(diff(nm.leftMul(x), Ops.multiply(x, m)) < 1e-9)
+    assert(diff(run(leftMul(xX), bind("X", x)), run(Mul(xX, mM), bind("X", x))) < 1e-9)
   }
 
   test("colSums pushdown == colSums(materialized)") {
-    assert(diff(nm.colSumsF, Ops.colSums(m)) < 1e-9)
+    assert(diff(run(colSums), run(ColSums(mM))) < 1e-9)
   }
 
   test("rowSums pushdown == rowSums(materialized)") {
-    assert(diff(nm.rowSumsF, Ops.rowSums(m)) < 1e-9)
+    assert(diff(run(rowSums), run(RowSums(mM))) < 1e-9)
   }
 
   test("sum pushdown == sum(materialized)") {
-    assert(math.abs(nm.sumF - Ops.sumAll(m)) < 1e-8)
+    assert(math.abs(num(run(sum)) - num(run(Sum(mM)))) < 1e-8)
   }
 
   test("P1.12 both evaluation routes agree: colSums(MN) == colSums(M)N") {
     val n = Gen.dense(spark, nm.cols, 7, seed = 33)
-    val viaMorpheus = Ops.colSums(nm.rightMul(n))        // Morpheus alone
-    val viaHadad    = Ops.multiply(nm.colSumsF, n)       // HADAD + Morpheus
+    val viaMorpheus = run(ColSums(rightMul), nm.split(n)) // Morpheus alone
+    val viaHadad    = run(Mul(colSums, nN), bind("N", n)) // HADAD + Morpheus
     assert(diff(viaMorpheus, viaHadad) < 1e-9)
   }
 
   test("P2.10 both routes agree: rowSums(XM) == X rowSums(M)") {
     val x = Gen.dense(spark, 6, nm.rows, seed = 34)
-    val viaMorpheus = Ops.rowSums(nm.leftMul(x))
-    val viaHadad    = Ops.multiply(x, nm.rowSumsF)
-    assert(diff(viaMorpheus, viaHadad) < 1e-9)
+    assert(diff(run(RowSums(leftMul(xX)), bind("X", x)), run(Mul(xX, rowSums), bind("X", x))) < 1e-9)
   }
 
   test("P2.11 both routes agree: sum(N+M) == sum(N)+sum(M)") {
     val n = Gen.dense(spark, nm.rows, nm.cols, seed = 35)
-    val asIs  = Ops.sumAll(Ops.add(n, m))               // Morpheus: no factorization
-    val hadad = Ops.sumAll(n) + nm.sumF                 // HADAD: distribute, push sum
+    val asIs  = num(run(Sum(Add(nN, materialized)), bind("N", n))) // Morpheus: no factorization
+    val hadad = num(run(SAdd(Sum(nN), sum), bind("N", n)))          // HADAD: distribute, push sum
     assert(math.abs(asIs - hadad) < 1e-7 * math.abs(asIs))
   }
 
   test("P2.15 both routes agree: sum(rowSums(M)) == sum(M)") {
-    assert(math.abs(Ops.sumAll(nm.rowSumsF) - nm.sumF) < 1e-8)
+    assert(math.abs(num(run(Sum(rowSums))) - num(run(sum))) < 1e-8)
   }
 
   test("HADAD reaches base-table views only via LA + Morpheus rules jointly") {
-    import repro.core._
     // The paper's hybrid views (§9.2.2): V4 stores the colSums pushdown over
     // the *base tables* cbind(colSums(TF), colSums(K)·UF). Rewriting
     // colSums(M·N) to V4·N requires colSums(MN)=colSums(M)N (SystemML rule),
@@ -100,7 +110,6 @@ class MorpheusSpec extends SparkSpec {
   }
 
   test("B6's P1.12 HADAD route is the plan the catalog finds from S, K, R and N") {
-    import repro.core._
     // B6's dims at tuple ratio 2: nR = 1000, dS = 10, dR = 40, nS = 2000,
     // K with one non-zero per S-row, and N with 40 columns.
     val meta = Map(
@@ -109,11 +118,10 @@ class MorpheusSpec extends SparkSpec {
       "R" -> Meta.dense(1000, 40),
       "N" -> Meta.dense(50, 40),
     )
-    val p112 = ColSums(Mul(CBind(Mat("S"), Mul(Mat("K"), Mat("R"))), Mat("N")))
+    val p112 = ColSums(Mul(materialized, nN))
     for (est <- Seq[() => Estimator](() => NaiveEstimator, () => new MNCEstimator)) {
       val r = Rewriter.rewrite(p112, meta, cfg = Rewriter.Config(estimator = est))
-      // `nm.colSumsF · N`, as `Tables.b6` writes it.
-      assert(r.chosen.render == "(cbind(colSums(S),(colSums(K) R)) N)", r.chosen.render)
+      assert(r.chosen == Mul(colSums, nN), r.chosen.render)
     }
   }
 }
