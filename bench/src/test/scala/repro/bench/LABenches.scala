@@ -8,7 +8,7 @@ import repro.SparkSpec
   */
 class B1LANoViewsBench extends SparkSpec {
   test("B1: LA rewriting without views") {
-    val rows = Tables.b1(spark)
+    val rows = Tables.b1.run(spark)
     Harness.printTable("B1 (paper Fig 5): LA rewriting, no views", rows)
     val byId = rows.map(r => r.pipeline -> r).toMap
     // Shape: the rewrite must win on materialized cells everywhere.
@@ -22,7 +22,7 @@ class B1LANoViewsBench extends SparkSpec {
 /** B2 — paper Fig 6 numbers: P1.13 (50×), P1.25, P1.14/P2.12 (up to 42×). */
 class B2LAAggBench extends SparkSpec {
   test("B2: aggregate-rewrite pipelines") {
-    val rows = Tables.b2(spark)
+    val rows = Tables.b2.run(spark)
     Harness.printTable("B2 (paper Fig 6): aggregation rewrites", rows)
     val byId = rows.map(r => r.pipeline -> r).toMap
     assert(byId("P1.13").cellSpeedup > 100) // paper 50× wall; cells collapse to O(n+m)
@@ -37,7 +37,7 @@ class B2LAAggBench extends SparkSpec {
   */
 class B3DistributionBench extends SparkSpec {
   test("B3: speedup distribution over P^¬Opt") {
-    val rows = Tables.b3(spark)
+    val rows = Tables.b3.run(spark)
     Harness.printTable("B3 (paper Fig 8): P^¬Opt speedup distribution", rows)
     val ups   = rows.map(_.cellSpeedup)
     val ge1   = ups.count(_ >= 0.999)
@@ -56,7 +56,7 @@ class B3DistributionBench extends SparkSpec {
   */
 class B4ViewsBench extends SparkSpec {
   test("B4: view-based LA rewriting") {
-    val rows = Tables.b4(spark)
+    val rows = Tables.b4.run(spark)
     Harness.printTable("B4 (paper Fig 7): view-based rewriting with V_exp", rows)
     val byId = rows.map(r => r.pipeline -> r).toMap
     assert(byId("P2.14").cellSpeedup > 1.5)

@@ -38,11 +38,12 @@ object Harness {
     rows.foreach(r => println(fmt(r)))
   }
 
-  /** Build a Spark COO environment matching `meta` profiles. Square C and
-    * D are generated symmetric positive definite (so that
+  /** Build a COO environment matching `meta` profiles, each leaf drawn in
+    * driver memory by [[Gen]] from a seed of its name. Square C and D are
+    * generated symmetric positive definite (so that
     * inverse/determinant/Cholesky pipelines are well-posed); matrices with
-    * sparsity < 0.5 are generated sparse with that nnz. Scalars s1 and s2
-    * are 1.7 and 2.3.
+    * sparsity < 0.5 are generated sparse with exactly that nnz. Scalars s1
+    * and s2 are 1.7 and 2.3.
     */
   def envFromMeta(spark: SparkSession, meta: Map[String, Meta]): Exec.Env = {
     val mats: Exec.Env = meta.map { case (n, m) =>

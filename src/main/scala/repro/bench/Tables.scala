@@ -17,41 +17,50 @@ object Tables {
   private def tune(spark: SparkSession): Unit =
     spark.conf.set("spark.sql.shuffle.partitions", "16")
 
-  /** Runs each of `ids`, in order, on the original and HADAD-rewritten
-    * plans. Each distinct `metaFor` map gets one environment, with `views`
-    * materialized into it; a leaf is collected when a plan first reads it,
-    * and then kept.
+  /** One LA table of B1–B5: its pipelines, in order, the leaf metadata each
+    * runs at, and the views they rewrite with. The tier-1 cells pin
+    * (`tables-cells.tsv`) recomputes its cells columns from the same
+    * definition.
     */
-  private def runLA(spark: SparkSession, table: String, ids: Seq[String],
-                    metaFor: String => Map[String, Meta],
-                    views: Seq[Rewriter.View] = Nil): Seq[Harness.Row] = {
-    tune(spark)
-    val envs = mutable.Map[Map[String, Meta], (Exec.Env, Map[String, Meta])]()
-    ids.map { id =>
-      val base = metaFor(id)
-      val (env, meta) = envs.getOrElseUpdate(base,
-        Harness.withViews(Harness.envFromMeta(spark, base), views, base))
-      Harness.run(table, id, Pipelines.byId(id), meta, env, views)
+  final case class LATable(name: String, ids: Seq[String], metaFor: String => Map[String, Meta],
+                           views: Seq[Rewriter.View] = Nil) {
+
+    /** Each pipeline with its metadata and the environment it runs over.
+      * Each distinct `metaFor` map gets one environment, with `views`
+      * materialized into it.
+      */
+    def requests(spark: SparkSession): Seq[(String, Map[String, Meta], Exec.Env)] = {
+      val envs = mutable.Map[Map[String, Meta], (Exec.Env, Map[String, Meta])]()
+      ids.map { id =>
+        val base = metaFor(id)
+        val (env, meta) = envs.getOrElseUpdate(base,
+          Harness.withViews(Harness.envFromMeta(spark, base), views, base))
+        (id, meta, env)
+      }
+    }
+
+    /** Runs each pipeline, in order, on the original and HADAD-rewritten plans. */
+    def run(spark: SparkSession): Seq[Harness.Row] = {
+      tune(spark)
+      requests(spark).map { case (id, meta, env) =>
+        Harness.run(name, id, Pipelines.byId(id), meta, env, views)
+      }
     }
   }
 
   // ---------------------------------------------------------------- B1 (Fig 5)
   /** LA rewriting, no views: P1.1, P1.3, P1.4, P1.15. */
-  def b1(spark: SparkSession): Seq[Harness.Row] = {
-    val meta = Map(
-      "M"  -> Meta.dense(800, 40), "N" -> Meta.dense(40, 800),
-      "A"  -> Meta.sparse(4000, 40, 1000), "B" -> Meta.dense(4000, 40),
-      "C"  -> Meta.dense(250, 250), "D" -> Meta.dense(250, 250),
-      "v1" -> Meta.dense(40, 1),
-    )
-    runLA(spark, "B1", Seq("P1.1", "P1.3", "P1.4", "P1.15"), _ => meta)
-  }
+  val b1: LATable = LATable("B1", Seq("P1.1", "P1.3", "P1.4", "P1.15"), _ => Map(
+    "M"  -> Meta.dense(800, 40), "N" -> Meta.dense(40, 800),
+    "A"  -> Meta.sparse(4000, 40, 1000), "B" -> Meta.dense(4000, 40),
+    "C"  -> Meta.dense(250, 250), "D" -> Meta.dense(250, 250),
+    "v1" -> Meta.dense(40, 1),
+  ))
 
   // ---------------------------------------------------------------- B2 (Fig 6)
   /** Aggregate-rewrite pipelines: P1.13, P1.25, P1.14, P2.12. */
-  def b2(spark: SparkSession): Seq[Harness.Row] =
-    runLA(spark, "B2", Seq("P1.13", "P1.25", "P1.14", "P2.12"),
-          _ => Map("M" -> Meta.dense(600, 30), "N" -> Meta.dense(30, 600)))
+  val b2: LATable = LATable("B2", Seq("P1.13", "P1.25", "P1.14", "P2.12"),
+    _ => Map("M" -> Meta.dense(600, 30), "N" -> Meta.dense(30, 600)))
 
   // ---------------------------------------------------------------- B3 (Fig 8)
   /** Speedup distribution over all P^¬Opt pipelines. `b3Meta` holds the
@@ -74,14 +83,13 @@ object Tables {
   def b3MetaFor(id: String): Map[String, Meta] =
     if (id == "P2.21") b3Meta + ("v1" -> Meta.dense(150, 1)) else b3Meta
 
-  def b3(spark: SparkSession): Seq[Harness.Row] =
-    runLA(spark, "B3", Pipelines.notOptIds, b3MetaFor)
+  /** Every P^¬Opt pipeline at Table 6's bindings. */
+  val b3: LATable = LATable("B3", Pipelines.notOptIds, b3MetaFor)
 
   // ---------------------------------------------------------------- B4 (Fig 7)
   /** View-based rewriting with V_exp: P2.14, P2.21, P2.25, P2.27. */
-  def b4(spark: SparkSession): Seq[Harness.Row] =
-    runLA(spark, "B4", Seq("P2.14", "P2.21", "P2.25", "P2.27"),
-          _ => b3MetaFor("P2.21"), Pipelines.vexp)
+  val b4: LATable = LATable("B4", Seq("P2.14", "P2.21", "P2.25", "P2.27"),
+    _ => b3MetaFor("P2.21"), Pipelines.vexp)
 
   // -------------------------------------------------------------- B5 (§9.1.3)
   /** Rewriting time RW_find across all 57 pipelines, both estimators, plus
@@ -99,9 +107,14 @@ object Tables {
                                Rewriter.Config(estimator = est))
       B5Row(id, name, r.findMillis, r.stats.hitFactBudget)
     }
-    // Overhead sample: already-optimal pipelines with expensive operators.
-    (rows, runLA(spark, "B5", Seq("P1.20", "P1.22", "P2.19", "P2.23"), b3MetaFor))
+    (rows, b5Sample.run(spark))
   }
+
+  /** B5's overhead sample: already-optimal pipelines with expensive operators. */
+  val b5Sample: LATable = LATable("B5", Seq("P1.20", "P1.22", "P2.19", "P2.23"), b3MetaFor)
+
+  /** B1–B5's LA tables, in order. */
+  val laTables: Seq[LATable] = Seq(b1, b2, b3, b4, b5Sample)
 
   // ---------------------------------------------------------------- B6 (Fig 9)
   /** Morpheus with vs without HADAD rewrites: P1.12, P2.10, P2.11, P2.15
@@ -261,6 +274,8 @@ object Tables {
     tune(spark)
     import NormalizedMatrix.{colSums, rowSums, sum}
     val (m, n, x) = (Mat("M"), Mat("N"), Mat("X"))
+    // One untimed rewrite, so that the first timed one does not time the JVM's warm-up.
+    Rewriter.rewrite(ColSums(Mul(m, n)), Map("M" -> Meta.dense(2000, 50), "N" -> Meta.dense(50, 40)))
     Seq(500L, 2000L).flatMap { nR =>
       val nm   = NormalizedMatrix.synthetic(spark, nR, 10, tupleRatio = 4, featureRatio = 4)
       val meta = Map(

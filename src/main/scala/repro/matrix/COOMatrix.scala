@@ -2,7 +2,7 @@ package repro.matrix
 
 import breeze.linalg.DenseMatrix
 import org.apache.spark.sql.{DataFrame, Row, SparkSession}
-import org.apache.spark.sql.functions._
+import org.apache.spark.sql.functions.col
 import org.apache.spark.sql.types._
 import repro.core.{Hist, Meta}
 
@@ -114,35 +114,35 @@ object COOMatrix {
 
 /** Synthetic matrix generators at the scaled-down profiles of the paper's
   * Tables 4–5 (real sparse datasets are substituted by synthetic matrices
-  * with the same shape/sparsity character — see DESIGN.md).
+  * with the same shape/sparsity character — see DESIGN.md). Each draws its
+  * cells in driver memory from its seed alone, so the same seed gives the
+  * same cells under any core count, and the matrix keeps that local copy.
   */
 object Gen {
 
-  /** Dense uniform(0.1, 1.1) matrix. */
+  /** Dense uniform(0.1, 1.1) matrix: `LocalExec.rand`'s draw. */
   def dense(spark: SparkSession, rows: Long, cols: Long, seed: Long = 7): COOMatrix = {
-    val df = spark.range(rows * cols).select(
-      (col("id") / cols).cast(LongType) as "i",
-      (col("id") % cols).cast(LongType) as "j",
-      (rand(seed) + 0.1) as "v",
-    )
-    COOMatrix(df, rows, cols)
+    fits(rows, cols)
+    COOMatrix.fromBreeze(spark, LocalExec.rand(rows.toInt, cols.toInt, seed))
   }
 
-  /** Sparse matrix with ~`nnz` uniformly-placed non-zeros. */
+  /** Sparse matrix with exactly `nnz` distinct cells, drawn uniformly, then
+    * their uniform(0.1, 1.1) values in the order the cells were drawn.
+    */
   def sparse(spark: SparkSession, rows: Long, cols: Long, nnz: Long, seed: Long = 8): COOMatrix = {
-    val df = spark.range(nnz).select(
-      (rand(seed) * rows).cast(LongType) as "i",
-      (rand(seed + 1) * cols).cast(LongType) as "j",
-      (rand(seed + 2) + 0.1) as "v",
-    ).dropDuplicates("i", "j")
-    COOMatrix(df, rows, cols)
+    fits(rows, cols)
+    require(nnz <= rows * cols, s"$nnz cells in ${rows}x$cols")
+    val r  = new scala.util.Random(seed)
+    val at = scala.collection.mutable.LinkedHashSet[Long]()
+    while (at.size < nnz) at += r.nextLong(rows * cols)
+    COOMatrix.fromLocal(spark, LocalCOO.of(rows.toInt, cols.toInt,
+      at.toSeq.map(c => ((c / cols).toInt, (c % cols).toInt, r.nextDouble() + 0.1))))
   }
 
-  /** Dense column vector. */
-  def vector(spark: SparkSession, rows: Long, seed: Long = 9): COOMatrix =
-    dense(spark, rows, 1, seed)
-
-  /** Symmetric positive-definite matrix, distributed (built locally). */
+  /** Symmetric positive-definite matrix: `LocalExec.randSPD`'s draw. */
   def spd(spark: SparkSession, n: Int, seed: Long = 10): COOMatrix =
     COOMatrix.fromBreeze(spark, LocalExec.randSPD(n, seed))
+
+  private def fits(rows: Long, cols: Long): Unit =
+    require(rows * cols <= COOMatrix.MaxLocalCells, s"refusing to draw ${rows}x$cols locally")
 }

@@ -1,7 +1,8 @@
 package repro.morpheus
 
+import org.apache.spark.sql.SparkSession
 import repro.core._
-import repro.matrix.{COOMatrix, Exec}
+import repro.matrix.{COOMatrix, Exec, Gen, LocalCOO}
 
 /** Morpheus-style normalized matrix over a PK-FK join (Chen et al., VLDB'17;
   * paper §2 and §9.2.1).
@@ -27,16 +28,15 @@ final case class NormalizedMatrix(s: COOMatrix, k: COOMatrix, r: COOMatrix) {
   def env: Exec.Env = Map("S" -> Exec.MatV(s), "K" -> Exec.MatV(k), "R" -> Exec.MatV(r))
 
   /** `n` (ncol(M) rows) split at row dS into the leaves of
-    * [[NormalizedMatrix.rightMul]]: `Ntop` (dS rows) and `Nbot` (dR rows).
+    * [[NormalizedMatrix.rightMul]]: `Ntop` (dS rows) and `Nbot` (dR rows),
+    * each in driver memory, cut from `n`'s local copy.
     */
   def split(n: COOMatrix): Exec.Env = {
     require(n.rows == cols, s"dims: ${rows}x$cols * ${n.rows}x${n.cols}")
-    import org.apache.spark.sql.functions._
-    val top = COOMatrix(n.df.filter(col("i") < s.cols), s.cols, n.cols)
-    val bot = COOMatrix(n.df.filter(col("i") >= s.cols)
-                          .select((col("i") - s.cols) as "i", col("j"), col("v")),
-                        r.cols, n.cols)
-    Map("Ntop" -> Exec.MatV(top), "Nbot" -> Exec.MatV(bot))
+    val (l, d) = (n.local, s.cols.toInt)
+    def part(at: Range): Exec.EVal = Exec.MatV(COOMatrix.fromLocal(n.spark,
+      LocalCOO(l.values(at, ::).copy, l.stored(at, ::).copy)))
+    Map("Ntop" -> part(0 until d), "Nbot" -> part(d until l.rows))
   }
 }
 
@@ -69,21 +69,19 @@ object NormalizedMatrix {
 
   /** Synthetic PK-FK pair in the paper's §9.2.1 setup: `tupleRatio` =
     * nS/nR, `featureRatio` = dR/dS; K assigns each S-row a dimension row
-    * uniformly. Deterministic.
+    * uniformly. Every leaf is drawn in driver memory from a fixed seed, so
+    * the pair is the same under any core count. K stays a DataFrame: at B6's
+    * tuple ratio 10 it is 10000×1000, above `COOMatrix.MaxLocalCells`.
     */
-  def synthetic(spark: org.apache.spark.sql.SparkSession,
-                nR: Long, dS: Long, tupleRatio: Double, featureRatio: Double): NormalizedMatrix = {
-    import org.apache.spark.sql.functions._
+  def synthetic(spark: SparkSession, nR: Long, dS: Long, tupleRatio: Double,
+                featureRatio: Double): NormalizedMatrix = {
     val seed = 21L
     val nS = (nR * tupleRatio).toLong
     val dR = (dS * featureRatio).toLong
-    val s  = repro.matrix.Gen.dense(spark, nS, dS, seed)
-    val r  = repro.matrix.Gen.dense(spark, nR, dR, seed + 1)
-    val kDf = spark.range(nS).select(
-      col("id") as "i",
-      (rand(seed + 2) * nR).cast("long") as "j",
-      lit(1.0) as "v",
-    )
-    NormalizedMatrix(s, COOMatrix(kDf, nS, nR), r)
+    val s  = Gen.dense(spark, nS, dS, seed)
+    val r  = Gen.dense(spark, nR, dR, seed + 1)
+    val fk = new scala.util.Random(seed + 2)
+    val k  = (0L until nS).map(i => (i, fk.nextLong(nR), 1.0))
+    NormalizedMatrix(s, COOMatrix(spark.createDataFrame(k).toDF("i", "j", "v"), nS, nR), r)
   }
 }
