@@ -36,15 +36,9 @@ class B6MorpheusBench extends SparkSpec {
 class B7HybridTwitterBench extends SparkSpec {
   test("B7: Twitter hybrid benchmark") {
     val rows = Tables.b7(spark)
-    println("\n== B7 (paper Fig 10): Twitter hybrid Q1–Q10 ==")
-    println(f"${"query"}%-5s ${"kw"}%-9s ${"orig cells"}%12s ${"rw cells"}%12s " +
-            f"${"cellx"}%7s ${"orig ms"}%9s ${"rw ms"}%9s ${"wallx"}%7s")
-    rows.foreach { r =>
-      println(f"${r.query}%-5s ${r.variant}%-9s ${r.origCells}%12d ${r.rwCells}%12d " +
-              f"${r.cellSpeedup}%7.1f ${r.origMs}%9.0f ${r.rwMs}%9.0f ${r.wallSpeedup}%7.1f")
-    }
+    Harness.printTable("B7 (paper Fig 10): Twitter hybrid Q1–Q10", rows)
     // Shape: every query improves on materialized cells for every selectivity.
-    rows.groupBy(_.query).foreach { case (q, rs) =>
+    rows.groupBy(_.pipeline.takeWhile(_ != '/')).foreach { case (q, rs) =>
       assert(rs.forall(_.cellSpeedup >= 0.999), s"$q regressed: ${rs.map(_.cellSpeedup)}")
     }
     val big = rows.count(_.cellSpeedup > 3)
@@ -56,14 +50,8 @@ class B7HybridTwitterBench extends SparkSpec {
 class B8HybridMimicBench extends SparkSpec {
   test("B8: MIMIC hybrid benchmark") {
     val rows = Tables.b8(spark)
-    println("\n== B8 (paper Fig 11): MIMIC hybrid over care units ==")
-    println(f"${"query"}%-5s ${"unit"}%-6s ${"orig cells"}%12s ${"rw cells"}%12s " +
-            f"${"cellx"}%7s ${"orig ms"}%9s ${"rw ms"}%9s ${"wallx"}%7s")
-    rows.foreach { r =>
-      println(f"${r.query}%-5s ${r.variant}%-6s ${r.origCells}%12d ${r.rwCells}%12d " +
-              f"${r.cellSpeedup}%7.1f ${r.origMs}%9.0f ${r.rwMs}%9.0f ${r.wallSpeedup}%7.1f")
-    }
-    rows.groupBy(_.query).foreach { case (q, rs) =>
+    Harness.printTable("B8 (paper Fig 11): MIMIC hybrid over care units", rows)
+    rows.groupBy(_.pipeline.takeWhile(_ != '/')).foreach { case (q, rs) =>
       assert(rs.forall(_.cellSpeedup >= 0.999), s"$q regressed")
     }
   }

@@ -3,14 +3,14 @@ package repro.bench
 import org.apache.spark.sql.SparkSession
 import repro.core._
 import repro.core.Rewriter.View
-import repro.matrix.{Exec, Gen, Ops}
+import repro.matrix.{Exec, Gen}
 
 /** Shared benchmark machinery: builds Spark environments from metadata,
   * runs a pipeline's original and HADAD-rewritten forms on the as-stated
   * executor, sanity-checks the two results against each other, and prints
-  * paper-style table rows. Every bench reports a deterministic metric
-  * (total materialized cells — the quantity HADAD's cost model predicts)
-  * next to wall time.
+  * paper-style table rows (B1–B5, B7 and B8). Every bench reports a
+  * deterministic metric (total materialized cells — the quantity HADAD's
+  * cost model predicts) next to wall time.
   */
 object Harness {
 
@@ -25,11 +25,11 @@ object Harness {
   }
 
   val header: String =
-    f"${"pipeline"}%-8s ${"orig cells"}%12s ${"rw cells"}%12s ${"cellx"}%8s " +
+    f"${"pipeline"}%-12s ${"orig cells"}%12s ${"rw cells"}%12s ${"cellx"}%8s " +
     f"${"orig ms"}%9s ${"rw ms"}%9s ${"wallx"}%7s ${"find ms"}%8s  rewrite"
 
   def fmt(r: Row): String =
-    f"${r.pipeline}%-8s ${r.origCells}%12d ${r.rwCells}%12d ${r.cellSpeedup}%8.1f " +
+    f"${r.pipeline}%-12s ${r.origCells}%12d ${r.rwCells}%12d ${r.cellSpeedup}%8.1f " +
     f"${r.origMs}%9.0f ${r.rwMs}%9.0f ${r.wallSpeedup}%7.1f ${r.rwFindMs}%8.0f  ${r.rewrite}"
 
   def printTable(title: String, rows: Seq[Row]): Unit = {
@@ -75,7 +75,7 @@ object Harness {
   }
 
   /** Rough agreement check between the two executions (sum of all cells). */
-  private[bench] def sanity(id: String, a: Exec.Result, b: Exec.Result): Unit = {
+  private def sanity(id: String, a: Exec.Result, b: Exec.Result): Unit = {
     val (x, y) = (summary(a), summary(b))
     if (x.isNaN || x.isInfinite)
       require(y.isNaN || y.isInfinite || math.abs(y) > 1e100,
@@ -87,19 +87,26 @@ object Harness {
     }
   }
 
-  private def summary(r: Exec.Result): Double = r.value match {
-    case Exec.ScaV(v) => v
-    case Exec.MatV(m) => Ops.sumAll(m)
+  /** The sum of a result's cells, computed where `Exec` places a sum. */
+  private def summary(r: Exec.Result): Double =
+    Exec.run(Sum(Mat("x")), Map("x" -> r.value)).scalar
+
+  /** Run one pipeline: HADAD rewrite, then the original over `origEnv` and
+    * the rewrite over `rwEnv`. Each route's time covers building its
+    * environment and running it.
+    */
+  def run(table: String, id: String, e: Expr, meta: Map[String, Meta], views: Seq[View])(
+          origEnv: => Exec.Env, rwEnv: => Exec.Env): Row = {
+    val r = Rewriter.rewrite(e, meta, views)
+    val (orig, origMs) = timed(Exec.run(e, origEnv))
+    val (rw, rwMs)     = timed(Exec.run(r.chosen, rwEnv))
+    sanity(id, orig, rw)
+    Row(table, id, r.chosen.render, orig.totalCells, rw.totalCells, origMs, rwMs, r.findMillis)
   }
 
-  /** Run one pipeline: HADAD rewrite, then both forms on the executor. */
-  def run(table: String, id: String, e: Expr, meta: Map[String, Meta],
-          env: Exec.Env, views: Seq[View]): Row = {
-    val r = Rewriter.rewrite(e, meta, views)
-    val orig = Exec.run(e, env)
-    val rw   = Exec.run(r.chosen, env)
-    sanity(id, orig, rw)
-    Row(table, id, r.chosen.render, orig.totalCells, rw.totalCells,
-        orig.wallMillis, rw.wallMillis, r.findMillis)
+  private def timed[A](a: => A): (A, Double) = {
+    val t0 = System.nanoTime()
+    val v  = a
+    (v, (System.nanoTime() - t0) / 1e6)
   }
 }

@@ -43,7 +43,7 @@ object Tables {
     def run(spark: SparkSession): Seq[Harness.Row] = {
       tune(spark)
       requests(spark).map { case (id, meta, env) =>
-        Harness.run(name, id, Pipelines.byId(id), meta, env, views)
+        Harness.run(name, id, Pipelines.byId(id), meta, views)(env, env)
       }
     }
   }
@@ -116,70 +116,93 @@ object Tables {
   /** B1–B5's LA tables, in order. */
   val laTables: Seq[LATable] = Seq(b1, b2, b3, b4, b5Sample)
 
-  // ---------------------------------------------------------------- B6 (Fig 9)
-  /** Morpheus with vs without HADAD rewrites: P1.12, P2.10, P2.11, P2.15
-    * over tuple ratios (feature ratio fixed at 4, as in §9.2.1's sweep).
+  // ------------------------------------------------ B6 and B9 (Figs 9 and 12)
+  /** One Morpheus pipeline of B6 and B9 over a normalized matrix
+    * M = [S, K·R] (§9.2.1): the pipeline as stated over M, Morpheus's
+    * factorized route and HADAD's route (plans over S, K and R built from
+    * `NormalizedMatrix`'s companion, which holds Morpheus's rules; Chen et
+    * al., VLDB 2017), and `leaves`, which draws the leaves it adds to S, K
+    * and R, each from its seed.
     */
+  final case class MorpheusPipeline(id: String, stated: Expr, morpheus: Expr, hadad: Expr,
+                                    leaves: (SparkSession, NormalizedMatrix) => Exec.Env) {
+
+    /** Draws this pipeline's leaves over `nm`, and returns the stated
+      * pipeline's metadata (M and the drawn leaves) and both routes'
+      * environment (S, K, R and the drawn leaves).
+      */
+    def request(spark: SparkSession, nm: NormalizedMatrix): (Map[String, Meta], Exec.Env) = {
+      val drawn = leaves(spark, nm)
+      val meta  = drawn.collect { case (n, Exec.MatV(v)) => n -> Meta.dense(v.rows, v.cols) }
+      (meta + ("M" -> Meta.dense(nm.rows, nm.cols)), nm.env ++ drawn)
+    }
+  }
+
+  /** B6's pipelines, in order; B9 runs P1.12, P2.10 and P2.15 of them. */
+  val morpheusPipelines: Seq[MorpheusPipeline] = {
+    import NormalizedMatrix.{colSums, leftMul, materialized, rightMul, rowSums, sum}
+    val (m, n, x) = (Mat("M"), Mat("N"), Mat("X"))
+    Seq(
+      // colSums(MN): Morpheus pushes the multiplication, over N split at row
+      // dS; HADAD enables the colSums pushdown instead (the §2 headline example).
+      MorpheusPipeline("P1.12", ColSums(Mul(m, n)), ColSums(rightMul), Mul(colSums, n), { (spark, nm) =>
+        val nn = Gen.dense(spark, nm.cols, 40, seed = 61)
+        nm.split(nn) + ("N" -> Exec.MatV(nn))
+      }),
+      // rowSums(XM) vs X·rowSums(M).
+      MorpheusPipeline("P2.10", RowSums(Mul(x, m)), RowSums(leftMul(x)), Mul(x, rowSums),
+        (spark, nm) => Map("X" -> Exec.MatV(Gen.dense(spark, 30, nm.rows, seed = 62)))),
+      // sum(N+M): Morpheus materializes M and the addition; HADAD distributes
+      // the sum and pushes it into the factorized form.
+      MorpheusPipeline("P2.11", Sum(Add(n, m)), Sum(Add(n, materialized)), SAdd(Sum(n), sum),
+        (spark, nm) => Map("N" -> Exec.MatV(Gen.dense(spark, nm.rows, nm.cols, seed = 63)))),
+      // sum(rowSums(M)): Morpheus pushes rowSums; HADAD pushes sum.
+      MorpheusPipeline("P2.15", Sum(RowSums(m)), Sum(rowSums), sum, (_, _) => Map.empty),
+    )
+  }
+
+  // ---------------------------------------------------------------- B6 (Fig 9)
+  /** Morpheus with vs without HADAD rewrites over tuple ratios. */
   final case class B6Row(pipeline: String, tupleRatio: Double,
                          morpheusWork: Long, hadadWork: Long,
                          morpheusMs: Double, hadadMs: Double) {
-    /** Work = multiply pairs + materialized cells — the deterministic
-      * compute metric (the paper's Fig 9 gains are flop-bound).
-      */
     def workSpeedup: Double = morpheusWork.toDouble / math.max(1L, hadadWork)
     def wallSpeedup: Double = morpheusMs / math.max(1e-9, hadadMs)
   }
 
+  /** Work = multiply pairs + materialized cells over a run's steps — B6's
+    * deterministic compute metric (the paper's Fig 9 gains are flop-bound).
+    */
+  def work(r: Exec.Result): Long = r.steps.map(st => st.cells + st.pairs).sum
+
+  /** B6's runs, in order: each tuple ratio (feature ratio fixed at 4, as in
+    * §9.2.1's sweep), then each pipeline with its routes' environment, drawn
+    * when the run is reached. The tier-1 work pin (`b6-work.tsv`) reads the
+    * same runs.
+    */
+  def b6Requests(spark: SparkSession): Iterator[(Double, MorpheusPipeline, Exec.Env)] =
+    for {
+      tr <- Iterator(2.0, 5.0, 10.0)
+      nm  = NormalizedMatrix.synthetic(spark, nR = 1000, dS = 10, tr, featureRatio = 4)
+      p  <- morpheusPipelines.iterator
+    } yield (tr, p, p.request(spark, nm)._2)
+
   def b6(spark: SparkSession): Seq[B6Row] = {
     tune(spark)
-    import NormalizedMatrix.{colSums, leftMul, materialized, rightMul, rowSums, sum}
-    val (n, x) = (Mat("N"), Mat("X"))
-    Seq(2.0, 5.0, 10.0).flatMap { tr =>
-      val nm     = NormalizedMatrix.synthetic(spark, nR = 1000, dS = 10, tr, featureRatio = 4)
-      val nRight = Gen.dense(spark, nm.cols, 40, seed = 61)      // N for P1.12
-      val xLeft  = Gen.dense(spark, 30, nm.rows, seed = 62)      // X for P2.10
-      val nAdd   = Gen.dense(spark, nm.rows, nm.cols, seed = 63) // N for P2.11
-
+    b6Requests(spark).map { case (tr, p, env) =>
       // Warm run first (JIT + caches), then the measured run.
-      def route(e: Expr, env: Exec.Env): (Long, Double) = {
-        Exec.run(e, env)
-        val r = Exec.run(e, env)
-        (r.steps.map(st => st.cells + st.pairs).sum, r.wallMillis)
-      }
-      def row(id: String, leaves: Exec.Env, morpheus: Expr, hadad: Expr): B6Row = {
-        val env = nm.env ++ leaves
-        val ((cm, tm), (ch, th)) = (route(morpheus, env), route(hadad, env))
-        B6Row(id, tr, cm, ch, tm, th)
-      }
-      Seq(
-        // P1.12 colSums(MN): Morpheus pushes the multiplication; HADAD enables
-        // the colSums pushdown instead (the §2 headline example).
-        row("P1.12", nm.split(nRight) + ("N" -> Exec.MatV(nRight)), ColSums(rightMul), Mul(colSums, n)),
-        // P2.10 rowSums(XM) vs X·rowSums(M).
-        row("P2.10", Map("X" -> Exec.MatV(xLeft)), RowSums(leftMul(x)), Mul(x, rowSums)),
-        // P2.11 sum(N+M): Morpheus materializes M and the addition; HADAD
-        // distributes the sum and pushes it into the factorized form.
-        row("P2.11", Map("N" -> Exec.MatV(nAdd)), Sum(Add(n, materialized)), SAdd(Sum(n), sum)),
-        // P2.15 sum(rowSums(M)): Morpheus pushes rowSums; HADAD pushes sum.
-        row("P2.15", Map.empty, Sum(rowSums), sum),
-      )
-    }
+      def route(e: Expr): Exec.Result = { Exec.run(e, env); Exec.run(e, env) }
+      val (m, h) = (route(p.morpheus), route(p.hadad))
+      B6Row(p.id, tr, work(m), work(h), m.wallMillis, h.wallMillis)
+    }.toSeq
   }
 
   // --------------------------------------------------------------- B7 (Fig 10)
   /** Twitter hybrid micro-benchmark: Q1–Q10 over three keyword
     * selectivities, original (full RA + as-stated LA) vs HADAD (RA with the
-    * Catalyst rule reading V2 + rewritten LA). Each route is checked: the
-    * original's RA stage substitutes nothing, HADAD's reads V2.
+    * Catalyst rule reading V2 + rewritten LA), one row per query/keyword.
     */
-  final case class HybridRow(query: String, variant: String,
-                             origMs: Double, rwMs: Double,
-                             origCells: Long, rwCells: Long) {
-    def wallSpeedup: Double = origMs / math.max(1e-9, rwMs)
-    def cellSpeedup: Double = origCells.toDouble / math.max(1L, rwCells)
-  }
-
-  def b7(spark: SparkSession): Seq[HybridRow] = {
+  def b7(spark: SparkSession): Seq[Harness.Row] = {
     tune(spark)
     val (nT, h) = (1200L, 200L)
     val tw  = HybridData.twitter(spark, nUsers = nT / 4, nTweets = nT, nHashtags = h)
@@ -192,15 +215,17 @@ object Tables {
     val shape = HybridQueries.Shape(nT, h)
     Seq("covid", "trump", "election").flatMap { kw =>
       HybridQueries.queries.map { case (q, original, _) =>
-        runHybridQuery(spark, q, original, shape, kw, readsV2 = true)(
+        runHybridQuery(spark, "B7", q, original, shape, kw, readsV2 = true)(
           HybridData.twitterM(tw), HybridData.twitterN(tw, kw))
       }
     }
   }
 
   // --------------------------------------------------------------- B8 (Fig 11)
-  /** MIMIC hybrid benchmark: three care units (three N sizes). */
-  def b8(spark: SparkSession): Seq[HybridRow] = {
+  /** MIMIC hybrid benchmark: three care units (three N sizes), one row per
+    * query/unit.
+    */
+  def b8(spark: SparkSession): Seq[Harness.Row] = {
     tune(spark)
     val (nP, nS) = (1200L, 200L)
     val mi = HybridData.mimic(spark, nPatients = nP, nServices = nS)
@@ -212,22 +237,23 @@ object Tables {
       // keeps the bench under control (full sweep available via b7).
       HybridQueries.queries.filter(q => Seq("Q1", "Q3", "Q4", "Q9").contains(q._1))
         .map { case (q, original, _) =>
-          runHybridQuery(spark, q, original, shape, unit, readsV2 = false)(
+          runHybridQuery(spark, "B8", q, original, shape, unit, readsV2 = false)(
             HybridData.mimicM(mi), HybridData.mimicN(mi, unit))
         }
     }
   }
 
-  /** Both routes of one hybrid query. Each builds M and N with `ra`: the
-    * original with the view rule taken out of the session's optimizations,
-    * HADAD with it in place, which must then fire if `readsV2`.
+  /** Both routes of one hybrid query, run by `Harness.run`. Each builds M
+    * and N with `ra`: the original with the view rule taken out of the
+    * session's optimizations, HADAD with it in place, which must then fire
+    * if `readsV2`.
     */
-  private def runHybridQuery(spark: SparkSession, q: String, original: Expr,
+  private def runHybridQuery(spark: SparkSession, table: String, q: String, original: Expr,
                              shape: HybridQueries.Shape, variant: String, readsV2: Boolean)(
-                             ra: => (COOMatrix, COOMatrix)): HybridRow = {
+                             ra: => (COOMatrix, COOMatrix)): Harness.Row = {
     val meta  = shape.meta(q)
     val views = HybridQueries.views(q)
-    val r     = Rewriter.rewrite(original, meta, views = views)
+    val id    = s"$q/$variant"
 
     def laEnv(): Exec.Env = {
       val (m, n) = ra
@@ -241,58 +267,44 @@ object Tables {
       extras + ("M" -> Exec.MatV(m)) + ("N" -> Exec.MatV(nf))
     }
 
-    // Original: full RA build (view rule taken out) + as-stated LA.
-    val h0  = ViewSubstitution.substitutions
-    val t0  = System.nanoTime()
-    val opt = spark.experimental.extraOptimizations
-    spark.experimental.extraOptimizations = opt.filterNot(_ == ViewSubstitution)
-    val envO   = try laEnv() finally spark.experimental.extraOptimizations = opt
-    val orig   = Exec.run(original, envO)
-    val origMs = (System.nanoTime() - t0) / 1e6
-    val h1     = ViewSubstitution.substitutions
-
-    // HADAD: RA through the view rule + rewritten LA over materialized LA views.
-    val t1 = System.nanoTime()
-    val (envR, _) = Harness.withViews(laEnv(), views, meta)
-    val rw   = Exec.run(r.chosen, envR)
-    val rwMs = (System.nanoTime() - t1) / 1e6
-
-    require(h1 == h0, s"$q/$variant: the original route substituted a view ${h1 - h0} times")
-    require(!readsV2 || ViewSubstitution.substitutions > h1,
-            s"$q/$variant: the view rule did not replace N's US-entities part by V2")
-    Harness.sanity(s"$q/$variant (${r.chosen.render})", orig, rw)
-    HybridRow(q, variant, origMs, rwMs, orig.totalCells, rw.totalCells)
+    val h0 = ViewSubstitution.substitutions
+    def origEnv(): Exec.Env = {
+      val opt = spark.experimental.extraOptimizations
+      spark.experimental.extraOptimizations = opt.filterNot(_ == ViewSubstitution)
+      try laEnv() finally spark.experimental.extraOptimizations = opt
+    }
+    def hadadEnv(): Exec.Env = {
+      // The original route, built and run, is over.
+      val h1 = ViewSubstitution.substitutions
+      require(h1 == h0, s"$id: the original route substituted a view ${h1 - h0} times")
+      Harness.withViews(laEnv(), views, meta)._1
+    }
+    val row = Harness.run(table, id, original, meta, views)(origEnv(), hadadEnv())
+    require(!readsV2 || ViewSubstitution.substitutions > h0,
+            s"$id: the view rule did not replace N's US-entities part by V2")
+    row
   }
 
   // --------------------------------------------------------------- B9 (Fig 12)
-  /** Rewriting-time overhead on Morpheus pipelines at two data sizes. */
+  /** Rewriting-time overhead on Morpheus pipelines at two data sizes: the
+    * rewriter's RW_find on each pipeline as stated over M, against one run of
+    * HADAD's route.
+    */
   final case class B9Row(pipeline: String, nR: Long, findMs: Double, execMs: Double) {
     def overheadPct: Double = 100.0 * findMs / (findMs + execMs)
   }
 
   def b9(spark: SparkSession): Seq[B9Row] = {
     tune(spark)
-    import NormalizedMatrix.{colSums, rowSums, sum}
-    val (m, n, x) = (Mat("M"), Mat("N"), Mat("X"))
-    // One untimed rewrite, so that the first timed one does not time the JVM's warm-up.
-    Rewriter.rewrite(ColSums(Mul(m, n)), Map("M" -> Meta.dense(2000, 50), "N" -> Meta.dense(50, 40)))
-    Seq(500L, 2000L).flatMap { nR =>
-      val nm   = NormalizedMatrix.synthetic(spark, nR, 10, tupleRatio = 4, featureRatio = 4)
-      val meta = Map(
-        "M" -> Meta.dense(nm.rows, nm.cols),
-        "N" -> Meta.dense(nm.cols, 40),
-        "X" -> Meta.dense(30, nm.rows),
-      )
-      val env = nm.env + ("N" -> Exec.MatV(Gen.dense(spark, nm.cols, 40, 61))) +
-        ("X" -> Exec.MatV(Gen.dense(spark, 30, nm.rows, 62)))
-      // Each pipeline as stated over M, and HADAD's factorized route.
-      def row(id: String, e: Expr, route: Expr): B9Row =
-        B9Row(id, nR, Rewriter.rewrite(e, meta).findMillis, Exec.run(route, env).wallMillis)
-      Seq(
-        row("P1.12", ColSums(Mul(m, n)), Mul(colSums, n)),
-        row("P2.10", RowSums(Mul(x, m)), Mul(x, rowSums)),
-        row("P2.15", Sum(RowSums(m)), sum),
-      )
+    for {
+      nR <- Seq(500L, 2000L)
+      nm  = NormalizedMatrix.synthetic(spark, nR, 10, tupleRatio = 4, featureRatio = 4)
+      p  <- morpheusPipelines if Set("P1.12", "P2.10", "P2.15")(p.id)
+    } yield {
+      val (meta, env) = p.request(spark, nm)
+      // One untimed rewrite first, so that the timed one does not time the JVM's warm-up.
+      Rewriter.rewrite(p.stated, meta)
+      B9Row(p.id, nR, Rewriter.rewrite(p.stated, meta).findMillis, Exec.run(p.hadad, env).wallMillis)
     }
   }
 }

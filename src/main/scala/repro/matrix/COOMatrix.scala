@@ -121,7 +121,7 @@ object COOMatrix {
 object Gen {
 
   /** Dense uniform(0.1, 1.1) matrix: `LocalExec.rand`'s draw. */
-  def dense(spark: SparkSession, rows: Long, cols: Long, seed: Long = 7): COOMatrix = {
+  def dense(spark: SparkSession, rows: Long, cols: Long, seed: Long): COOMatrix = {
     fits(rows, cols)
     COOMatrix.fromBreeze(spark, LocalExec.rand(rows.toInt, cols.toInt, seed))
   }
@@ -129,7 +129,7 @@ object Gen {
   /** Sparse matrix with exactly `nnz` distinct cells, drawn uniformly, then
     * their uniform(0.1, 1.1) values in the order the cells were drawn.
     */
-  def sparse(spark: SparkSession, rows: Long, cols: Long, nnz: Long, seed: Long = 8): COOMatrix = {
+  def sparse(spark: SparkSession, rows: Long, cols: Long, nnz: Long, seed: Long): COOMatrix = {
     fits(rows, cols)
     require(nnz <= rows * cols, s"$nnz cells in ${rows}x$cols")
     val r  = new scala.util.Random(seed)
@@ -140,7 +140,7 @@ object Gen {
   }
 
   /** Symmetric positive-definite matrix: `LocalExec.randSPD`'s draw. */
-  def spd(spark: SparkSession, n: Int, seed: Long = 10): COOMatrix =
+  def spd(spark: SparkSession, n: Int, seed: Long): COOMatrix =
     COOMatrix.fromBreeze(spark, LocalExec.randSPD(n, seed))
 
   private def fits(rows: Long, cols: Long): Unit =
