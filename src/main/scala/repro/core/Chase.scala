@@ -30,15 +30,16 @@ private[core] final class Rel {
   def bucket(pos: Int, cls: Int): mutable.ArrayBuffer[Vector[Int]] =
     if (pos < index.length) index(pos).getOrNull(cls) else null
 
-  /** Re-canonicalize with `find`, drop duplicates, rebuild the index.
-    * Returns the number of facts kept.
+  /** Re-canonicalize with `find`, drop duplicates (the first occurrence
+    * stays), rebuild the index into fresh maps. Returns the number of facts
+    * kept.
     */
   def compact(find: Int => Int): Int = {
-    val kept = facts.map(_.map(find)).distinct
-    set.clear(); index.foreach(_.clear())
-    facts.clear(); facts ++= kept
-    kept.foreach { f => set += f; indexFact(f) }
-    kept.length
+    val old = facts.toArray
+    set.clear(); facts.clear()
+    index = index.map(m => new mutable.LongMap[mutable.ArrayBuffer[Vector[Int]]](m.size))
+    old.foreach(f => add(f.map(find)))
+    facts.length
   }
 }
 
@@ -52,18 +53,28 @@ private[core] final class Rel {
   */
 final class Instance(val est: Estimator) {
 
-  private val parent = mutable.ArrayBuffer[Int]()
+  // Union-find over ids 0 until nIds, in a growable unboxed array.
+  private var parent = new Array[Int](Instance.InitialIds)
+  private var nIds   = 0
   private val consts = mutable.HashMap[String, Int]()
-  private val idToConst = mutable.HashMap[Int, String]()
-  private val metas  = mutable.HashMap[Int, Meta]()
+  private val idToConst = mutable.LongMap[String]()
+  private val metas  = mutable.LongMap[Meta]()
+  // Class id of each dimension's constant, for `recordSize`.
+  private val dimConsts = mutable.LongMap[Int]()
 
   private val rels   = mutable.HashMap[String, Rel]()
+  private val sizeRel = relation("size")
   private var nFacts = 0
 
   /** Storage of `rel`, created empty on first use. */
   private[core] def relation(rel: String): Rel = rels.getOrElseUpdate(rel, new Rel)
 
-  def fresh(): Int = { parent += parent.length; parent.length - 1 }
+  def fresh(): Int = {
+    if (nIds == parent.length) parent = java.util.Arrays.copyOf(parent, 2 * nIds)
+    parent(nIds) = nIds
+    nIds += 1
+    nIds - 1
+  }
 
   /** Intern a constant (quoted token without the quotes). */
   def const(s: String): Int = consts.getOrElseUpdate(s, { val id = fresh(); idToConst(id) = s; id })
@@ -85,27 +96,24 @@ final class Instance(val est: Estimator) {
   def union(a: Int, b: Int): Boolean = {
     val ra = find(a); val rb = find(b)
     if (ra == rb) return false
-    (idToConst.get(ra), idToConst.get(rb)) match {
-      case (Some(x), Some(y)) if x != y => return false // inconsistent EGD; refuse
-      case _                            =>
-    }
+    val ca = idToConst.getOrNull(ra); val cb = idToConst.getOrNull(rb)
+    if (ca != null && cb != null && ca != cb) return false // inconsistent EGD; refuse
     // Keep a constant id as the root so constOf survives merges.
-    val (root, child) = if (idToConst.contains(rb) && !idToConst.contains(ra)) (rb, ra) else (ra, rb)
+    val (root, child) = if (cb != null && ca == null) (rb, ra) else (ra, rb)
     parent(child) = root
-    (metas.remove(child), metas.get(root)) match {
-      case (Some(mc), Some(mr)) => metas(root) = if (mc.nnz < mr.nnz) mc else mr
-      case (Some(mc), None)     => metas(root) = mc
-      case _                    =>
+    val mc = metas.getOrNull(child)
+    if (mc != null) {
+      metas -= child
+      val mr = metas.getOrNull(root)
+      if (mr == null || mc.nnz < mr.nnz) metas(root) = mc
     }
     true
   }
 
   def setMeta(id: Int, m: Meta): Unit = {
-    val r = find(id)
-    metas.get(r) match {
-      case Some(old) if old.nnz <= m.nnz =>
-      case _                             => metas(r) = m
-    }
+    val r   = find(id)
+    val old = metas.getOrNull(r)
+    if (old == null || !(old.nnz <= m.nnz)) metas(r) = m
   }
 
   def meta(id: Int): Option[Meta] = metas.get(find(id))
@@ -169,8 +177,17 @@ final class Instance(val est: Estimator) {
   /** Record `size(id, rows, cols)` if `id`'s Meta is known; size-guarded
     * constraints (vector cases, square decompositions) match against it.
     */
-  def recordSize(id: Int): Unit =
-    meta(id).foreach(m => addFact("size", Vector(id, const(m.rows.toString), const(m.cols.toString))))
+  def recordSize(id: Int): Unit = {
+    val m = metas.getOrNull(find(id))
+    if (m != null) add(sizeRel, Vector(id, dimConst(m.rows), dimConst(m.cols)))
+  }
+
+  private def dimConst(n: Long): Int = dimConsts.getOrElseUpdate(n, const(n.toString))
+}
+
+object Instance {
+  /** Ids the union-find holds before its array first grows. */
+  private[core] final val InitialIds = 64
 }
 
 /** Homomorphism search + restricted chase with Prune_prov-style cost pruning
@@ -426,10 +443,12 @@ object Chase {
     }
 
     var round = 0
-    var more  = true
+    var more  = maxRounds > 0
+    // Every round ends saturated, so only the first TGD pass needs a
+    // saturation before it.
+    if (more) equalitySaturate()
     while (more && round < maxRounds && !hitBudget && !hitDeadline) {
       round += 1
-      equalitySaturate()
       var added = 0
       for (tr <- tgds
            if !hitBudget && !hitDeadline && tr.premise.rels.forall(_.facts.nonEmpty)) {

@@ -111,27 +111,60 @@ final class MNCEstimator extends Estimator {
   /** Online histogram derivations performed so far (overhead proxy). */
   var derivations: Long = 0L
 
-  def prepare(m: Meta): Meta = m
+  /** A leaf without histograms gets the uniform spread once, here, rather
+    * than at every derivation that reads it.
+    */
+  def prepare(m: Meta): Meta =
+    if (m.hist.isEmpty && fits(m.rows, m.cols)) m.copy(hist = Some(uniform(m))) else m
 
   private def fits(rows: Long, cols: Long): Boolean =
     rows <= Meta.MaxHistDim && cols <= Meta.MaxHistDim
+
+  // The histogram arithmetic runs in while loops over unboxed arrays (the
+  // function types are specialized on Double). Sums are left folds from
+  // 0.0, as `.sum` is, so estimates do not change by a bit.
+
+  private def sum(a: Array[Double]): Double = {
+    var s = 0.0; var i = 0
+    while (i < a.length) { s += a(i); i += 1 }
+    s
+  }
+
+  private def map(x: Array[Double])(f: Double => Double): Array[Double] = {
+    val out = new Array[Double](x.length)
+    var i = 0
+    while (i < x.length) { out(i) = f(x(i)); i += 1 }
+    out
+  }
+
+  /** `f` over pairs, up to the shorter array's length (as `zip`). */
+  private def zipWith(x: Array[Double], y: Array[Double])(f: (Double, Double) => Double): Array[Double] = {
+    val out = new Array[Double](math.min(x.length, y.length))
+    var i = 0
+    while (i < out.length) { out(i) = f(x(i), y(i)); i += 1 }
+    out
+  }
 
   private def spreadHist(rows: Long, cols: Long, nnz: Double,
                          rowWeights: Array[Double], colWeights: Array[Double]): Option[Hist] = {
     if (!fits(rows, cols)) return None
     derivations += 1
-    val rw = rowWeights.sum
-    val cw = colWeights.sum
-    val hr = rowWeights.map(w => if (rw == 0) 0.0 else math.min(cols.toDouble, nnz * w / rw))
-    val hc = colWeights.map(w => if (cw == 0) 0.0 else math.min(rows.toDouble, nnz * w / cw))
+    val rw = sum(rowWeights)
+    val cw = sum(colWeights)
+    val hr = map(rowWeights)(w => if (rw == 0) 0.0 else math.min(cols.toDouble, nnz * w / rw))
+    val hc = map(colWeights)(w => if (cw == 0) 0.0 else math.min(rows.toDouble, nnz * w / cw))
     Some(Hist(hr, hc))
   }
 
   private def uniform(m: Meta): Hist = {
     derivations += 1
-    Hist(Array.fill(m.rows.toInt)(m.nnz / m.rows), Array.fill(m.cols.toInt)(m.nnz / m.cols))
+    def filled(n: Long, v: Double) = { val a = new Array[Double](n.toInt); java.util.Arrays.fill(a, v); a }
+    Hist(filled(m.rows, m.nnz / m.rows), filled(m.cols, m.nnz / m.cols))
   }
 
+  /** A histogram for `m`: its own, or for an intermediate derived without
+    * one (a dense result, a naive fallback), the uniform spread.
+    */
   private def histOf(m: Meta): Option[Hist] =
     m.hist.orElse(if (fits(m.rows, m.cols)) Some(uniform(m)) else None)
 
@@ -156,10 +189,9 @@ final class MNCEstimator extends Estimator {
   def add(a: Meta, b: Meta): Meta = (histOf(a), histOf(b)) match {
     case (Some(ha), Some(hb)) =>
       derivations += 1
-      val hr  = ha.hr.zip(hb.hr).map { case (x, y) => math.min(a.cols.toDouble, x + y) }
-      val hc  = ha.hc.zip(hb.hc).map { case (x, y) => math.min(a.rows.toDouble, x + y) }
-      val nnz = hr.sum
-      Meta(a.rows, a.cols, nnz, Some(Hist(hr, hc)))
+      val hr = zipWith(ha.hr, hb.hr)((x, y) => math.min(a.cols.toDouble, x + y))
+      val hc = zipWith(ha.hc, hb.hc)((x, y) => math.min(a.rows.toDouble, x + y))
+      Meta(a.rows, a.cols, sum(hr), Some(Hist(hr, hc)))
     case _ => NaiveEstimator.add(a, b)
   }
 
@@ -167,9 +199,9 @@ final class MNCEstimator extends Estimator {
     case (Some(ha), Some(hb)) =>
       derivations += 1
       // Expected per-row overlap of two independent supports of the given sizes.
-      val hr  = ha.hr.zip(hb.hr).map { case (x, y) => if (a.cols == 0) 0.0 else x * y / a.cols }
-      val hc  = ha.hc.zip(hb.hc).map { case (x, y) => if (a.rows == 0) 0.0 else x * y / a.rows }
-      Meta(a.rows, a.cols, hr.sum, Some(Hist(hr, hc)))
+      val hr = zipWith(ha.hr, hb.hr)((x, y) => if (a.cols == 0) 0.0 else x * y / a.cols)
+      val hc = zipWith(ha.hc, hb.hc)((x, y) => if (a.rows == 0) 0.0 else x * y / a.rows)
+      Meta(a.rows, a.cols, sum(hr), Some(Hist(hr, hc)))
     case _ => NaiveEstimator.had(a, b)
   }
 
@@ -178,15 +210,17 @@ final class MNCEstimator extends Estimator {
 
   def rowSums(a: Meta): Meta = histOf(a) match {
     case Some(h) =>
-      val nnz = h.hr.count(_ > 0).toDouble
-      Meta(a.rows, 1, nnz, Some(Hist(h.hr.map(x => if (x > 0) 1.0 else 0.0), Array(nnz))))
+      val hr  = map(h.hr)(x => if (x > 0) 1.0 else 0.0)
+      val nnz = sum(hr)
+      Meta(a.rows, 1, nnz, Some(Hist(hr, Array(nnz))))
     case None => NaiveEstimator.rowSums(a)
   }
 
   def colSums(a: Meta): Meta = histOf(a) match {
     case Some(h) =>
-      val nnz = h.hc.count(_ > 0).toDouble
-      Meta(1, a.cols, nnz, Some(Hist(Array(nnz), h.hc.map(x => if (x > 0) 1.0 else 0.0))))
+      val hc  = map(h.hc)(x => if (x > 0) 1.0 else 0.0)
+      val nnz = sum(hc)
+      Meta(1, a.cols, nnz, Some(Hist(Array(nnz), hc)))
     case None => NaiveEstimator.colSums(a)
   }
 
@@ -194,7 +228,7 @@ final class MNCEstimator extends Estimator {
     case (Some(ha), Some(hb)) =>
       derivations += 1
       Meta(a.rows, a.cols + b.cols, a.nnz + b.nnz,
-           Some(Hist(ha.hr.zip(hb.hr).map { case (x, y) => x + y }, ha.hc ++ hb.hc)))
+           Some(Hist(zipWith(ha.hr, hb.hr)(_ + _), Array.concat(ha.hc, hb.hc))))
     case _ => NaiveEstimator.cbind(a, b)
   }
 }

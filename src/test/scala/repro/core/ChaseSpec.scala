@@ -19,6 +19,27 @@ class ChaseSpec extends AnyFunSuite {
     assert(i.find(a) != i.find(c))
   }
 
+  test("union-find grows past its initial array; constants stay roots and never merge") {
+    val i   = inst()
+    val n   = 3 * Instance.InitialIds + 1
+    val ids = Vector.fill(n)(i.fresh())
+    assert(ids == (0 until n) && ids.map(i.find) == ids)
+    val (below, above) = (Instance.InitialIds - 1, 2 * Instance.InitialIds + 3)
+    assert(i.union(below, above))
+    assert(i.find(above) == i.find(below))
+    ids.sliding(2).foreach(p => i.union(p(0), p(1)))
+    assert(ids.map(i.find).distinct.size == 1)
+    // Constants minted after the growth, merged in both argument orders.
+    val (k1, k2, k3) = (i.const("k1"), i.const("k2"), i.const("k3"))
+    assert(k1 >= n)
+    assert(i.union(ids(0), k1))
+    assert(ids.forall(i.find(_) == k1) && i.constOf(ids(7)) == Some("k1"))
+    val x = i.fresh()
+    assert(i.union(k3, x) && i.find(x) == k3)
+    assert(!i.union(k2, ids(3)) && !i.union(ids(3), k2) && !i.union(x, k1))
+    assert(i.find(k1) == k1 && i.find(k2) == k2 && i.find(k3) == k3)
+  }
+
   test("union merges metadata keeping the tighter nnz") {
     val i = inst()
     val a = i.fresh(); val b = i.fresh()
